@@ -13,7 +13,6 @@ and bilinear grafting.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -221,55 +220,47 @@ class TreePolynomial:
 
     @classmethod
     def from_json(cls, data: Iterable[dict]) -> "TreePolynomial":
+        """Inverse of :meth:`to_json`; a malformed document raises ``ValueError``."""
+        if not isinstance(data, list):
+            raise ValueError("a polynomial is a JSON list of {coeff, tree} records")
         terms: dict[DecoratedTree, Coefficient] = {}
-        for rec in data:
-            raw = rec["coeff"]
-            coeff: Coefficient = np.asarray(raw, dtype=float) if isinstance(raw, list) \
-                else Fraction(raw)
-            tree = tree_from_json(rec["tree"])
+        for k, rec in enumerate(data):
+            try:
+                raw = rec["coeff"]
+                coeff: Coefficient = np.asarray(raw, dtype=float) if isinstance(raw, list) \
+                    else Fraction(raw)
+                tree = tree_from_json(rec["tree"])
+            except (KeyError, TypeError, ZeroDivisionError) as exc:
+                raise ValueError(f"bad polynomial record {k}: {exc!r}") from exc
             terms[tree] = terms.get(tree, Fraction(0)) + coeff
         return cls(terms)
 
 
 # ---------------------------------------------------------------------------
-# tree-level products (memoized, integer multiplicities)
+# tree-level products (memoized)
+#
+# Each tree product is a tuple of distinct trees, so the bilinear extension
+# needs no multiplicities: within one branch the graft is injective in the
+# shuffled subtree, and the two branches of the shuffle give roots whose left
+# subtrees differ in order.
 
 @lru_cache(maxsize=200_000)
-def _shuffle_trees(t1: DecoratedTree, t2: DecoratedTree) -> tuple[tuple[DecoratedTree, int], ...]:
+def _shuffle_trees(t1: DecoratedTree, t2: DecoratedTree) -> tuple[DecoratedTree, ...]:
     if t1.is_leaf:
-        return ((t2, 1),)
+        return (t2,)
     if t2.is_leaf:
-        return ((t1, 1),)
-    out: Counter[DecoratedTree] = Counter()
-    # left branch: t1^1 v_x ( t1^2 sh t2 )
-    for s, k in _shuffle_trees(t1.right, t2):
-        out[DecoratedTree(t1.left, t1.letter, s)] += k
-    # right branch: ( t1 sh t2^1 ) v_y t2^2
-    for s, k in _shuffle_trees(t1, t2.left):
-        out[DecoratedTree(s, t2.letter, t2.right)] += k
-    return tuple(out.items())
+        return (t1,)
+    return _prec_trees(t1, t2) + _succ_trees(t1, t2)
 
 
-def _prec_trees(t1: DecoratedTree, t2: DecoratedTree) -> tuple[tuple[DecoratedTree, int], ...]:
-    if t1.is_leaf:
-        raise DendriformError("empty word is not allowed as the left operand of prec")
-    if t2.is_leaf:
-        return ((t1, 1),)
-    out: Counter[DecoratedTree] = Counter()
-    for s, k in _shuffle_trees(t1.right, t2):
-        out[DecoratedTree(t1.left, t1.letter, s)] += k
-    return tuple(out.items())
+def _prec_trees(t1: DecoratedTree, t2: DecoratedTree) -> tuple[DecoratedTree, ...]:
+    """t1^l v_x (t1^r sh t2); ``t1`` is not the leaf."""
+    return tuple(DecoratedTree(t1.left, t1.letter, s) for s in _shuffle_trees(t1.right, t2))
 
 
-def _succ_trees(t1: DecoratedTree, t2: DecoratedTree) -> tuple[tuple[DecoratedTree, int], ...]:
-    if t2.is_leaf:
-        raise DendriformError("empty word is not allowed as the right operand of succ")
-    if t1.is_leaf:
-        return ((t2, 1),)
-    out: Counter[DecoratedTree] = Counter()
-    for s, k in _shuffle_trees(t1, t2.left):
-        out[DecoratedTree(s, t2.letter, t2.right)] += k
-    return tuple(out.items())
+def _succ_trees(t1: DecoratedTree, t2: DecoratedTree) -> tuple[DecoratedTree, ...]:
+    """(t1 sh t2^l) v_y t2^r; ``t2`` is not the leaf."""
+    return tuple(DecoratedTree(s, t2.letter, t2.right) for s in _shuffle_trees(t1, t2.left))
 
 
 def _bilinear(p: TreePolynomial, q: TreePolynomial, tree_product) -> TreePolynomial:
@@ -277,10 +268,9 @@ def _bilinear(p: TreePolynomial, q: TreePolynomial, tree_product) -> TreePolynom
     for t1, c1 in p._terms.items():
         for t2, c2 in q._terms.items():
             c = _mul(c1, c2)
-            for s, k in tree_product(t1, t2):
+            for s in tree_product(t1, t2):
                 cur = out.get(s)
-                kc = _mul(Fraction(k), c) if not isinstance(c, np.ndarray) else k * c
-                out[s] = kc if cur is None else cur + kc
+                out[s] = c if cur is None else cur + c
     return TreePolynomial(out)
 
 
@@ -311,7 +301,7 @@ def pre_lie(p: TreePolynomial, q: TreePolynomial) -> TreePolynomial:
 def graft_poly(p: TreePolynomial, letter: int, q: TreePolynomial) -> TreePolynomial:
     """Bilinear extension of decorated grafting."""
     def product(t1: DecoratedTree, t2: DecoratedTree):
-        return ((DecoratedTree(t1, letter, t2), 1),)
+        return (DecoratedTree(t1, letter, t2),)
 
     return _bilinear(p, q, product)
 

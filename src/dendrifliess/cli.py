@@ -121,8 +121,9 @@ def _load_series(spec: str) -> operators.GeneratingSeries:
         return operators.dyson_series(int(spec.split(":", 1)[1]))
     with open(spec) as fh:
         data = json.load(fh)
-    if isinstance(data, dict) and data.get("rule", "").startswith("dyson:"):
-        return operators.dyson_series(int(data["rule"].split(":", 1)[1]))
+    rule = data.get("rule") if isinstance(data, dict) else None
+    if isinstance(rule, str) and rule.startswith("dyson:"):
+        return operators.dyson_series(int(rule.split(":", 1)[1]))
     poly = algebra.TreePolynomial.from_json(data)
     m = max((max(trees.foliation(t), default=0) for t, _ in poly.items()), default=1)
     return operators.finite_series(poly, max(m, 1))

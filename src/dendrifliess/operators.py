@@ -19,14 +19,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import TreePolynomial, prec, shuffle, succ
+from .algebra import TreePolynomial, pre_lie, prec, shuffle, succ
 from .integrals import EvaluationResult, TreeEvaluator, evaluate_polynomial
-from .signals import MatrixSignal, SignalError, signal_norm, stack_norm1
+from .signals import MatrixSignal, SignalError, matrix_norm1, signal_norm, stack_norm1
 from .trees import (
     DLEAF,
     DecoratedTree,
     EnumerationCapError,
     enumerate_decorated_trees,
+    foliation,
     graft,
     left_comb,
     left_comb_skeleton,
@@ -56,6 +57,11 @@ __all__ = [
 ]
 
 DEFAULT_GENERAL_ORDER_CAP = 8
+
+
+def _coeff_norm(c: Fraction | np.ndarray) -> float:
+    """Coefficient magnitude: max column absolute sum for a matrix, |c| for a scalar."""
+    return matrix_norm1(c) if isinstance(c, np.ndarray) else abs(float(c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +110,7 @@ class GeneratingSeries:
             if self.growth_regime == "factorial_left_comb":
                 bound *= math.factorial(n)
             for tree in self.trees_of_order(n):
-                c = self.coefficient(tree)
-                mag = float(np.abs(np.asarray(c, dtype=float)).sum(axis=0).max()) \
-                    if isinstance(c, np.ndarray) else abs(float(c))
-                if mag > bound * (1 + 1e-12):
+                if _coeff_norm(self.coefficient(tree)) > bound * (1 + 1e-12):
                     return False
         return True
 
@@ -209,12 +212,20 @@ def convergence_certificate(c: GeneratingSeries, u: MatrixSignal,
     return Certificate(c.K, c.M, c.m, R, radius, tail, order, diagnostic)
 
 
+#: highest Dyson order; trees are walked recursively, so far deeper combs
+#: would exhaust the interpreter's recursion limit
+DYSON_ORDER_CAP = 256
+
+
 def dyson_series(order: int) -> GeneratingSeries:
     """Identity coefficients on x1-decorated left combs up to ``order``."""
+    if order > DYSON_ORDER_CAP:
+        raise ValueError(f"Dyson order {order} above the cap {DYSON_ORDER_CAP}")
+
     def rule(tree: DecoratedTree):
         if tree.order > order:
             return Fraction(0)
-        if any(letter != 1 for letter in _letters(tree)):
+        if any(letter != 1 for letter in foliation(tree)):
             return Fraction(0)
         return Fraction(1)
 
@@ -225,15 +236,6 @@ def dyson_series(order: int) -> GeneratingSeries:
         m=1, support_class="left_comb", K=1.0, M=1.0,
         growth_regime="factorial_left_comb", rule=rule, support_fn=support,
         rule_name=f"dyson:{order}")
-
-
-def _letters(tree: DecoratedTree):
-    if tree.is_leaf:
-        return
-    assert tree.left is not None and tree.right is not None
-    yield from _letters(tree.left)
-    yield tree.letter
-    yield from _letters(tree.right)
 
 
 def full_support_series(m: int, K: float = 1.0, M: float = 1.0) -> GeneratingSeries:
@@ -247,9 +249,8 @@ def full_support_series(m: int, K: float = 1.0, M: float = 1.0) -> GeneratingSer
 
 
 def finite_series(terms: TreePolynomial, m: int) -> GeneratingSeries:
-    order = terms.max_order()
-    scale = max((abs(float(c)) for _, c in terms.items()
-                 if not isinstance(c, np.ndarray)), default=1.0)
+    """Explicit polynomial; ``K`` bounds every coefficient's norm, with M = 1."""
+    scale = max((_coeff_norm(c) for _, c in terms.items()), default=1.0)
     return GeneratingSeries(
         m=m, support_class="finite", K=max(scale, 1.0), M=1.0,
         growth_regime="geometric", terms=terms)
@@ -305,7 +306,7 @@ def _bracket(orientation: str):
     if orientation == "standard":
         return lambda a, b: succ(a, b) - prec(b, a)
     if orientation == "literal":
-        return lambda a, b: prec(a, b) - succ(a, b)
+        return pre_lie
     if orientation == "reversed":
         return lambda a, b: succ(a, b) - prec(a, b)
     raise ValueError(f"unknown pre-Lie orientation {orientation!r}")
@@ -326,33 +327,32 @@ MAGNUS_ORDER_CAP = 6
 
 def magnus_generating_series(order: int,
                              orientation: str = "standard") -> MagnusSeries:
-    """Fixed point of d = sum_n (B_n / n!) bracket^n applied to the letter.
+    """Exponent d = sum_j (B_j / j!) L^(j), L^(j) = bracket(d, L^(j-1)), L^(0) = x1,
+    truncated to ``order``.
 
-    Iterates the Bernoulli recursion, truncating to ``order``, until the
-    polynomial is stationary; the order-<=N part stabilizes after at most
-    N iterations.
+    One graded pass: the degree-n parts are d_1 = x1 and
+    d_n = sum_{j=1}^{n-1} (B_j / j!) L_n^(j), with
+    L_n^(j) = sum_m bracket(d_m, L_{n-m}^(j-1)).  Every bracket is
+    homogeneous and d_n needs only lower degrees, so each degree is built
+    once, in increasing order, and the result is the unique truncated fixed
+    point.  ``iterations`` counts these degree passes; it equals ``order``.
     """
     if order < 1 or order > MAGNUS_ORDER_CAP:
         raise ValueError(f"truncation order must be in 1..{MAGNUS_ORDER_CAP}")
     bracket = _bracket(orientation)
     x1 = TreePolynomial.single(graft(DLEAF, 1, DLEAF))
-    d = x1
-    for iteration in range(1, order + 3):
-        new = x1  # n = 0 term: B_0 * L^(0)(x1) = x1
-        level = x1
-        for n in range(1, order):
-            level = bracket(d, level).truncate(order)
-            if level.is_zero():
-                break
-            b_n = bernoulli(n)
-            if b_n != 0:
-                new = new + level.scale(b_n / Fraction(math.factorial(n)))
-        new = new.truncate(order)
-        if new == d:
-            return MagnusSeries(order, iteration, d, orientation)
-        d = new
-    raise RuntimeError(
-        "exponent recursion failed to become stationary; this indicates a bug")
+    d = {1: x1}
+    # levels[j][n] is L_n^(j), the degree-n part of the j-fold bracket
+    levels: list[dict[int, TreePolynomial]] = [{1: x1}] + [{} for _ in range(1, order)]
+    for n in range(2, order + 1):
+        d[n] = TreePolynomial()
+        for j in range(1, n):
+            prev = levels[j - 1]
+            levels[j][n] = sum((bracket(d[m], prev[n - m])
+                                for m in range(1, n - j + 1) if n - m in prev),
+                               TreePolynomial())
+            d[n] = d[n] + levels[j][n].scale(bernoulli(j) / Fraction(math.factorial(j)))
+    return MagnusSeries(order, order, sum(d.values(), TreePolynomial()), orientation)
 
 
 def magnus_evaluate(series: MagnusSeries,

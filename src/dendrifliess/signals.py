@@ -30,7 +30,6 @@ __all__ = [
     "signal_to_csv",
     "signal_from_csv",
     "SPIN_GENERATORS",
-    "ROTATION_GENERATOR_2D",
 ]
 
 
@@ -44,8 +43,6 @@ SPIN_GENERATORS = {
     "y": np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
     "z": np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
 }
-
-ROTATION_GENERATOR_2D = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def matrix_norm1(a: np.ndarray) -> float:

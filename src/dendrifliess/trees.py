@@ -8,7 +8,6 @@ drift channel) per interior vertex; the foliation reads them in in-order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -313,10 +312,6 @@ def tree_from_json(obj: dict | None) -> DecoratedTree:
     if obj is None:
         return DLEAF
     return DecoratedTree(tree_from_json(obj["l"]), int(obj["x"]), tree_from_json(obj["r"]))
-
-
-def tree_json_str(t: DecoratedTree) -> str:
-    return json.dumps(tree_to_json(t))
 
 
 def parse_word(text: str) -> Word:

@@ -101,6 +101,30 @@ def test_fliess_series_file(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("document", [
+    {"coeff": "1", "tree": None},  # not a list of records
+    {"rule": 5},  # a rule that is not a string
+    [{"coeff": "1"}],  # record without a tree
+    [{"coeff": "1/0", "tree": {"l": None, "x": 1, "r": None}}],
+])
+def test_fliess_bad_series_file(capsys, tmp_path, document):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "--json", "fliess", "eval",
+                         "--series", str(path), "--signal", "const:1.0",
+                         "--order", "2", "--grid", "32")
+    assert code == 1 and out == ""
+    assert "error" in json.loads(err)
+
+
+def test_fliess_dyson_above_cap(capsys):
+    code, out, err = run(capsys, "--json", "fliess", "eval",
+                         "--series", "dyson:400", "--signal", "const:0.5",
+                         "--order", "400", "--grid", "32")
+    assert code == 1 and out == ""
+    assert "256" in json.loads(err)["error"]
+
+
 def test_magnus_json(capsys):
     code, out, _ = run(capsys, "--json", "magnus", "--signal", "spin:0.5,rot",
                        "--order", "2", "--grid", "128", "--compare-rk4")
@@ -114,6 +138,12 @@ def test_verify_catalan(capsys):
     code, out, _ = run(capsys, "verify", "catalan")
     assert code == 0
     assert "catalan: ok" in out
+
+
+def test_verify_all(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--seed", "0")
+    assert code == 0
+    assert out.splitlines() == [f"{name}: ok" for name in cli._SUITES]
 
 
 def test_verify_json_shape(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -52,6 +53,19 @@ def test_half_products_sum_to_shuffle():
     for _ in range(25):
         a, b = random_poly(rng), random_poly(rng)
         assert prec(a, b) + succ(a, b) == shuffle(a, b)
+
+
+def test_half_products_have_disjoint_supports():
+    # the shuffle concatenates its two branches: no tree is reached twice
+    ts = [TreePolynomial.single(decorate(word, skel))
+          for n in range(1, 4) for skel in enumerate_trees(n)
+          for word in itertools.product((0, 1), repeat=n)]
+    assert len(ts) == 2 + 8 + 40
+    for a in ts:
+        for b in ts:
+            left, right = prec(a, b), succ(a, b)
+            assert not left.support() & right.support()
+            assert all(c == 1 for _, c in shuffle(a, b).items())
 
 
 def test_dendriform_axioms_exact():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from dendrifliess.algebra import TreePolynomial, prec, shuffle, succ
 from dendrifliess.operators import (
     BRACKET_ORIENTATIONS,
+    DYSON_ORDER_CAP,
     bernoulli,
     convergence_certificate,
     dyson_series,
@@ -112,6 +115,23 @@ def test_certificate_diagnostic_outside_radius():
     assert cert.tail is None and "diverges" in cert.diagnostic
 
 
+def test_certificate_covers_matrix_coefficients():
+    # K follows the coefficient norm, so the tail bounds the observed increment
+    c = finite_series(TreePolynomial.single(left_comb((1, 1)), 100 * np.eye(2)), 1)
+    assert c.K == 100.0 and c.verify_growth()
+    u = constant_signal(np.eye(2), 0.1, 64)
+    out = evaluate_fliess(c, u, 2)
+    increment = float(stack_norm1(out.increments[2][-1]))
+    assert increment == pytest.approx(0.5, rel=1e-9)
+    assert convergence_certificate(c, u, 1).tail >= increment
+
+
+def test_dyson_order_cap():
+    assert dyson_series(DYSON_ORDER_CAP).rule_name == f"dyson:{DYSON_ORDER_CAP}"
+    with pytest.raises(ValueError, match=str(DYSON_ORDER_CAP)):
+        dyson_series(DYSON_ORDER_CAP + 1)
+
+
 def test_certificate_requires_geometric_regime():
     u = constant_signal(np.array([[0.1]]), 0.5, 8)
     with pytest.raises(ValueError):
@@ -150,6 +170,27 @@ def test_magnus_low_orders():
     # order-2 part is -1/2 of the bracket of the letter with itself
     bracket = succ(x(1), x(1)) - prec(x(1), x(1))
     assert s2.poly == x(1) + bracket.scale(Fraction(-1, 2))
+
+
+#: sha256 of the canonical JSON of ``poly.to_json()``, pinned from the
+#: earlier fixed-point implementation of the recursion
+MAGNUS_DIGESTS = {
+    (5, "standard"): "0a625923725d5a1ab1c21d7e6c5f5b827899b44c69e2ed6b3df03a5d664c0805",
+    (5, "literal"): "7c989be617ad358aa239dfc83aba774238d3a5055cfcbbb4666d5255c5abb429",
+    (5, "reversed"): "dc212885afd57a733319422ca09ddbc076585d8a8d9380bd0958b122b52f6a86",
+    (6, "standard"): "aea54754f37ede35475ce70f974e60aa8d735bd66052ce870dbf8da3ff342933",
+    (6, "literal"): "0d76d0e668f8a77ff5e9dec1a9742383aa617be79fd4759e913ab204b3d151b3",
+    (6, "reversed"): "e7a8c85b862c62243758046244685010b74e29a40251f1baaa366bebcf327d6c",
+}
+
+
+@pytest.mark.parametrize("order, orientation", sorted(MAGNUS_DIGESTS))
+def test_magnus_pinned_digests(order, orientation):
+    series = magnus_generating_series(order, orientation)
+    text = json.dumps(series.poly.to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == MAGNUS_DIGESTS[order, orientation]
+    assert len(series.poly) == {5: 64, 6: 196}[order]
+    assert series.iterations == order
 
 
 def test_magnus_order_validation():
