@@ -57,7 +57,6 @@ from .operators import (
 )
 from .signals import (
     MatrixSignal,
-    ScalarSignal,
     SignalError,
     constant_signal,
     matrix_norm1,

@@ -117,16 +117,25 @@ def _cmd_eval(args) -> int:
 
 
 def _load_series(spec: str) -> operators.GeneratingSeries:
-    if spec.startswith("dyson:"):
-        return operators.dyson_series(int(spec.split(":", 1)[1]))
-    with open(spec) as fh:
-        data = json.load(fh)
-    rule = data.get("rule") if isinstance(data, dict) else None
-    if isinstance(rule, str) and rule.startswith("dyson:"):
-        return operators.dyson_series(int(rule.split(":", 1)[1]))
-    poly = algebra.TreePolynomial.from_json(data)
-    m = max((max(trees.foliation(t), default=0) for t, _ in poly.items()), default=1)
-    return operators.finite_series(poly, max(m, 1))
+    """``dyson:<N>``, or a JSON file with ``{"rule": "dyson:<N>"}`` or a list
+    of ``{coeff, tree}`` records."""
+    if not spec.startswith("dyson:"):
+        with open(spec) as fh:
+            data = json.load(fh)
+        rule = data.get("rule") if isinstance(data, dict) else None
+        if not (isinstance(rule, str) and rule.startswith("dyson:")):
+            poly = algebra.TreePolynomial.from_json(data)
+            m = max((max(trees.foliation(t), default=0) for t, _ in poly.items()), default=1)
+            return operators.finite_series(poly, max(m, 1))
+        spec = rule
+    return operators.dyson_series(int(spec.split(":", 1)[1]))
+
+
+def _certificate(series: operators.GeneratingSeries, u: signals.MatrixSignal,
+                 order: int) -> dict:
+    if series.growth_regime != "geometric":
+        return {"available": False, "reason": f"growth regime {series.growth_regime}"}
+    return operators.convergence_certificate(series, u, order).to_dict()
 
 
 def _cmd_fliess(args) -> int:
@@ -134,19 +143,18 @@ def _cmd_fliess(args) -> int:
         raise CliError("unknown fliess subcommand")
     series = _load_series(args.series)
     u = _parse_signal(args.signal, args.grid, args.horizon)
-    geometric = series.growth_regime == "geometric"
-    out = operators.evaluate_fliess(series, u, args.order,
-                                    with_certificate=args.certificate and geometric)
-    if args.certificate:
-        if geometric:
-            print(operators.convergence_certificate(series, u, args.order).to_json())
-        else:
-            print(json.dumps({"certificate": "not available",
-                              "reason": f"growth regime {series.growth_regime}"}))
+    out = operators.evaluate_fliess(series, u, args.order)
+    cert = _certificate(series, u, args.order) if args.certificate else None
+    if args.json and not args.out:
+        payload = {"t": out.grid.tolist(), "values": out.values.tolist()}
+        if cert is not None:
+            payload["certificate"] = cert
+        print(json.dumps(payload))
+        return 0
+    if cert is not None:
+        print(json.dumps(cert))
     if args.out:
         integrals.EvaluationResult(out.grid, out.values).to_csv(args.out)
-    elif args.json:
-        print(json.dumps({"t": out.grid.tolist(), "values": out.values.tolist()}))
     else:
         print(f"y(T) =\n{out.at_horizon}")
     return 0

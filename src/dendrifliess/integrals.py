@@ -4,7 +4,9 @@ The defining recursion is followed literally on the shared uniform grid: for
 a tree ``l v_x r`` the integrand at each node is ``E_l . u_x . E_r`` and the
 running integral is a composite trapezoid (second-order scheme).  Subtree
 values are memoized per evaluator, so a polynomial costs one vectorized pass
-per distinct subtree.
+per distinct subtree.  Every coefficient-weighted sum of tree values (a
+polynomial, or one order of a generating series) is formed by
+:meth:`TreeEvaluator.weighted_sum`.
 """
 
 from __future__ import annotations
@@ -12,15 +14,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .algebra import TreePolynomial, char_trees, shuffle
+from .algebra import Coefficient, TreePolynomial, char_trees, shuffle
 from .signals import (
     MatrixSignal,
-    ScalarSignal,
     SignalError,
     stack_norm1,
     trapezoid_prefix,
@@ -47,7 +48,6 @@ class EvaluationResult:
 
     grid: np.ndarray
     values: np.ndarray  # (N+1, n, n)
-    tree: DecoratedTree | TreePolynomial | None = None
     scheme_order: int = 2
 
     @property
@@ -105,28 +105,28 @@ class TreeEvaluator:
         self._cache[t] = out
         return out
 
-    def polynomial(self, p: TreePolynomial) -> np.ndarray:
-        nodes = self.u.num_steps + 1
-        if p.shape is not None:
-            ell = p.shape[0]
-            acc = np.zeros((nodes, ell, self.u.dim))
-        else:
-            acc = np.zeros((nodes, self.u.dim, self.u.dim))
-        for tree, coeff in p.items():
+    def weighted_sum(self, pairs: Iterable[tuple[DecoratedTree, Coefficient]]) -> np.ndarray:
+        """Sum of ``coeff * E_tree`` over the pairs; a matrix coefficient acts by
+        left multiplication, a scalar through ``float``; no pairs give zeros."""
+        acc: np.ndarray | None = None
+        for tree, coeff in pairs:
             e = self.values(tree)
-            if isinstance(coeff, np.ndarray):
-                acc = acc + coeff @ e  # matrix coefficients act by left multiplication
-            else:
-                acc = acc + float(coeff) * e
+            term = coeff @ e if isinstance(coeff, np.ndarray) else float(coeff) * e
+            acc = term if acc is None else acc + term
+        if acc is None:
+            return np.zeros((self.u.num_steps + 1, self.u.dim, self.u.dim))
         return acc
+
+    def polynomial(self, p: TreePolynomial) -> np.ndarray:
+        return self.weighted_sum(p.items())
 
 
 def evaluate_tree(t: DecoratedTree, u: MatrixSignal) -> EvaluationResult:
-    return EvaluationResult(u.grid, TreeEvaluator(u).values(t), tree=t)
+    return EvaluationResult(u.grid, TreeEvaluator(u).values(t))
 
 
 def evaluate_polynomial(p: TreePolynomial, u: MatrixSignal) -> EvaluationResult:
-    return EvaluationResult(u.grid, TreeEvaluator(u).polynomial(p), tree=p)
+    return EvaluationResult(u.grid, TreeEvaluator(u).polynomial(p))
 
 
 def check_product_identity(t1: DecoratedTree, t2: DecoratedTree,
@@ -141,8 +141,7 @@ def check_product_identity(t1: DecoratedTree, t2: DecoratedTree,
 
 def _ubar_integrals(u: MatrixSignal) -> np.ndarray:
     """Running integrals of the dominating scalar channels; shape (m, N+1)."""
-    bar = ubar(u)
-    return trapezoid_prefix(bar.samples.T, u.h).T
+    return trapezoid_prefix(ubar(u).samples[..., 0, 0].T, u.h).T
 
 
 def bound_tree_factorial(t: DecoratedTree, u: MatrixSignal) -> float:
@@ -174,7 +173,7 @@ def bound_left_comb(word: Word, u: MatrixSignal) -> float:
 def check_ubar_domination(t: DecoratedTree, u: MatrixSignal) -> tuple[float, float]:
     """(max-over-grid norm of E[u], matching scalar evaluation with ubar)."""
     lhs = stack_norm1(TreeEvaluator(u).values(t))
-    bar = ubar(u).as_matrix_signal()
+    bar = ubar(u)
     rhs = TreeEvaluator(bar).values(t)[:, 0, 0]
     k = int(np.argmax(lhs))
     return float(lhs[k]), float(rhs[k])
@@ -185,7 +184,7 @@ def check_factorial_identity(n: int, u: MatrixSignal) -> float:
     minus n! times E over the left comb (with ubar input)."""
     if n > 7:
         raise ValueError("factorial identity capped at n = 7")
-    bar = ubar(u).as_matrix_signal()
+    bar = ubar(u)
     letter = 1
     lhs = evaluate_polynomial(char_trees(n, letter), bar).at_horizon[0, 0]
     rhs = math.factorial(n) * evaluate_tree(left_comb((letter,) * n), bar).at_horizon[0, 0]

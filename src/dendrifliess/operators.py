@@ -2,6 +2,12 @@
 certificates, the Dyson series, the product connection, and the
 Bernoulli/pre-Lie recursion for the true-exponential representation.
 
+A Fliess operator is F_c[u] = sum_n sum_{|eta| = n} c(eta) E_eta[u], a sum
+over decorated planar binary trees taken one order at a time.  A
+:class:`GeneratingSeries` therefore lists its coefficients order by order,
+and :func:`evaluate_fliess` forms each order's increment with one weighted
+sum of iterated integrals (:meth:`TreeEvaluator.weighted_sum`).
+
 The pre-Lie bracket used in the exponent recursion comes in several
 orientations; see :func:`resolve_pre_lie_orientation`.  The default,
 ``"standard"``, is the dendriform pre-Lie product a |> b = a > b - b < a,
@@ -11,15 +17,14 @@ shuffle-exponential of the recursion's fixed point).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .algebra import TreePolynomial, pre_lie, prec, shuffle, succ
+from .algebra import Coefficient, TreePolynomial, pre_lie, prec, shuffle, succ
 from .integrals import EvaluationResult, TreeEvaluator, evaluate_polynomial
 from .signals import MatrixSignal, SignalError, matrix_norm1, signal_norm, stack_norm1
 from .trees import (
@@ -27,11 +32,8 @@ from .trees import (
     DecoratedTree,
     EnumerationCapError,
     enumerate_decorated_trees,
-    foliation,
     graft,
     left_comb,
-    left_comb_skeleton,
-    skeleton,
 )
 
 __all__ = [
@@ -59,49 +61,39 @@ __all__ = [
 DEFAULT_GENERAL_ORDER_CAP = 8
 
 
-def _coeff_norm(c: Fraction | np.ndarray) -> float:
+def _coeff_norm(c: Coefficient) -> float:
     """Coefficient magnitude: max column absolute sum for a matrix, |c| for a scalar."""
     return matrix_norm1(c) if isinstance(c, np.ndarray) else abs(float(c))
 
 
+#: one order of a generating series: its (tree, nonzero coefficient) pairs
+Part = list[tuple[DecoratedTree, Coefficient]]
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratingSeries:
-    """Coefficient assignment on decorated trees with growth metadata.
+    """Coefficients of a Fliess operator, listed order by order.
 
-    ``support_class`` is one of ``general`` (all trees, rule-based
-    coefficients), ``left_comb`` (rule-based on left combs) or ``finite``
-    (an explicit polynomial).  ``growth_regime`` declares which convergence
-    theorem applies: ``geometric`` or ``factorial_left_comb``.
+    ``part(n)`` returns the order-``n`` trees with nonzero coefficients as
+    ``(tree, coefficient)`` pairs, in enumeration order; every other tree has
+    coefficient 0.  ``terms`` is the explicit polynomial of a finite series
+    and ``None`` otherwise.  ``growth_regime`` declares which convergence
+    theorem applies: ``geometric`` (|c(eta)| <= K M^n) or
+    ``factorial_left_comb`` (|c(eta)| <= K M^n n!).
     """
 
     m: int
-    support_class: str
     K: float
     M: float
     growth_regime: str
+    part: Callable[[int], Part]
     terms: TreePolynomial | None = None
-    rule: Callable[[DecoratedTree], Fraction | np.ndarray] | None = None
-    support_fn: Callable[[int], Sequence[DecoratedTree]] | None = None
-    rule_name: str | None = None
 
     def coefficient(self, tree: DecoratedTree):
-        if self.terms is not None:
-            return self.terms.coefficient(tree)
-        assert self.rule is not None
-        if self.support_class == "left_comb" and not tree.is_leaf \
-                and skeleton(tree) != left_comb_skeleton(tree.order):
-            return Fraction(0)
-        return self.rule(tree)
+        return dict(self.part(tree.order)).get(tree, 0)
 
-    def trees_of_order(self, n: int, cap: int = DEFAULT_GENERAL_ORDER_CAP):
-        if self.terms is not None:
-            return [t for t, _ in self.terms.items() if t.order == n]
-        if self.support_fn is not None:
-            return list(self.support_fn(n))
-        if n > cap:
-            raise EnumerationCapError(
-                f"general-support order {n} above cap {cap}")
-        return list(enumerate_decorated_trees(n, self.m))
+    def trees_of_order(self, n: int) -> list[DecoratedTree]:
+        return [tree for tree, _ in self.part(n)]
 
     def verify_growth(self, max_order: int = 5) -> bool:
         """Spot-check the declared growth regime on all trees up to ``max_order``."""
@@ -109,21 +101,9 @@ class GeneratingSeries:
             bound = self.K * self.M ** n
             if self.growth_regime == "factorial_left_comb":
                 bound *= math.factorial(n)
-            for tree in self.trees_of_order(n):
-                if _coeff_norm(self.coefficient(tree)) > bound * (1 + 1e-12):
-                    return False
+            if any(_coeff_norm(c) > bound * (1 + 1e-12) for _, c in self.part(n)):
+                return False
         return True
-
-    def to_json(self) -> str:
-        if self.terms is not None:
-            payload: object = self.terms.to_json()
-        else:
-            payload = {"rule": self.rule_name or "custom"}
-        return json.dumps({
-            "m": self.m, "support_class": self.support_class,
-            "K": self.K, "M": self.M, "growth_regime": self.growth_regime,
-            "coefficients": payload,
-        })
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +113,6 @@ class FliessOutput:
     grid: np.ndarray
     values: np.ndarray
     truncation_order: int
-    tail_bound: float | None
     increments: list[np.ndarray]
 
     @property
@@ -141,37 +120,13 @@ class FliessOutput:
         return self.values[-1]
 
 
-def evaluate_fliess(c: GeneratingSeries, u: MatrixSignal, order: int,
-                    cap: int = DEFAULT_GENERAL_ORDER_CAP,
-                    with_certificate: bool = False) -> FliessOutput:
+def evaluate_fliess(c: GeneratingSeries, u: MatrixSignal, order: int) -> FliessOutput:
     """Sum coefficient-weighted iterated integrals over orders 0..order."""
+    if order < 0:
+        raise ValueError(f"truncation order must be >= 0, got {order}")
     ev = TreeEvaluator(u)
-    nodes = u.num_steps + 1
-    acc: np.ndarray | None = None
-    increments: list[np.ndarray] = []
-    for n in range(order + 1):
-        inc: np.ndarray | None = None
-        for tree in c.trees_of_order(n, cap=cap):
-            coeff = c.coefficient(tree)
-            if isinstance(coeff, np.ndarray):
-                if not np.any(coeff):
-                    continue
-                term = coeff @ ev.values(tree)
-            else:
-                if coeff == 0:
-                    continue
-                term = float(coeff) * ev.values(tree)
-            inc = term if inc is None else inc + term
-        if inc is None:
-            inc = np.zeros((nodes, u.dim, u.dim))
-        increments.append(inc)
-        acc = inc if acc is None else acc + inc
-    assert acc is not None
-    tail = None
-    if with_certificate:
-        cert = convergence_certificate(c, u, order)
-        tail = cert.tail
-    return FliessOutput(u.grid, acc, order, tail, increments)
+    increments = [ev.weighted_sum(c.part(n)) for n in range(order + 1)]
+    return FliessOutput(u.grid, sum(increments[1:], increments[0]), order, increments)
 
 
 @dataclass(frozen=True)
@@ -185,12 +140,10 @@ class Certificate:
     truncation_order: int
     diagnostic: str | None = None
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "K": self.K, "M": self.M, "m": self.m, "R": self.R,
-            "radius": self.radius, "tail": self.tail,
-            "N": self.truncation_order, "diagnostic": self.diagnostic,
-        })
+    def to_dict(self) -> dict:
+        return {"K": self.K, "M": self.M, "m": self.m, "R": self.R,
+                "radius": self.radius, "tail": self.tail,
+                "N": self.truncation_order, "diagnostic": self.diagnostic}
 
 
 def convergence_certificate(c: GeneratingSeries, u: MatrixSignal,
@@ -219,41 +172,38 @@ DYSON_ORDER_CAP = 256
 
 def dyson_series(order: int) -> GeneratingSeries:
     """Identity coefficients on x1-decorated left combs up to ``order``."""
-    if order > DYSON_ORDER_CAP:
-        raise ValueError(f"Dyson order {order} above the cap {DYSON_ORDER_CAP}")
+    if not 0 <= order <= DYSON_ORDER_CAP:
+        raise ValueError(f"Dyson order {order} outside 0..{DYSON_ORDER_CAP}")
 
-    def rule(tree: DecoratedTree):
-        if tree.order > order:
-            return Fraction(0)
-        if any(letter != 1 for letter in foliation(tree)):
-            return Fraction(0)
-        return Fraction(1)
+    def part(n: int) -> Part:
+        return [(left_comb((1,) * n), Fraction(1))] if 0 <= n <= order else []
 
-    def support(n: int):
-        return [left_comb((1,) * n)] if n <= order else []
-
-    return GeneratingSeries(
-        m=1, support_class="left_comb", K=1.0, M=1.0,
-        growth_regime="factorial_left_comb", rule=rule, support_fn=support,
-        rule_name=f"dyson:{order}")
+    return GeneratingSeries(m=1, K=1.0, M=1.0, growth_regime="factorial_left_comb",
+                            part=part)
 
 
 def full_support_series(m: int, K: float = 1.0, M: float = 1.0) -> GeneratingSeries:
-    """All trees, all words, coefficient K * M^order (geometric regime)."""
-    def rule(tree: DecoratedTree):
-        return Fraction(K) * Fraction(M) ** tree.order
+    """All trees, all words over x0..xm, coefficient K * M^order (geometric
+    regime); orders above ``DEFAULT_GENERAL_ORDER_CAP`` are refused."""
+    def part(n: int) -> Part:
+        if n > DEFAULT_GENERAL_ORDER_CAP:
+            raise EnumerationCapError(
+                f"general-support order {n} above cap {DEFAULT_GENERAL_ORDER_CAP}")
+        coeff = Fraction(K) * Fraction(M) ** n
+        return [(tree, coeff) for tree in enumerate_decorated_trees(n, m)] if coeff else []
 
-    return GeneratingSeries(
-        m=m, support_class="general", K=K, M=M,
-        growth_regime="geometric", rule=rule, rule_name=f"full:{K}:{M}")
+    return GeneratingSeries(m=m, K=K, M=M, growth_regime="geometric", part=part)
 
 
 def finite_series(terms: TreePolynomial, m: int) -> GeneratingSeries:
     """Explicit polynomial; ``K`` bounds every coefficient's norm, with M = 1."""
     scale = max((_coeff_norm(c) for _, c in terms.items()), default=1.0)
-    return GeneratingSeries(
-        m=m, support_class="finite", K=max(scale, 1.0), M=1.0,
-        growth_regime="geometric", terms=terms)
+
+    def part(n: int) -> Part:
+        return [(tree, c) for tree, c in terms.items() if tree.order == n]
+
+    return GeneratingSeries(m=m, K=max(scale, 1.0), M=1.0, growth_regime="geometric",
+                            part=part, terms=terms)
 
 
 def product_connection(c: GeneratingSeries, d: GeneratingSeries) -> GeneratingSeries:

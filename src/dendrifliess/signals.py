@@ -10,14 +10,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "SignalError",
     "MatrixSignal",
-    "ScalarSignal",
     "matrix_norm1",
     "stack_norm1",
     "ubar",
@@ -118,53 +117,17 @@ class MatrixSignal:
         return MatrixSignal(self.samples * factor, self.horizon)
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarSignal:
-    """Nonnegative scalar channels on the same kind of grid."""
-
-    samples: np.ndarray  # (m, N+1)
-    horizon: float
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.samples, dtype=float)
-        if s.ndim != 2:
-            raise SignalError(f"samples must be (m, N+1), got {s.shape}")
-        if np.any(s < 0):
-            raise SignalError("scalar signal samples must be nonnegative")
-        s = s.copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def m(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def num_steps(self) -> int:
-        return self.samples.shape[1] - 1
-
-    def as_matrix_signal(self) -> MatrixSignal:
-        """View the scalar channels as 1x1 matrix channels."""
-        return MatrixSignal(self.samples[:, :, None, None], self.horizon)
+def ubar(u: MatrixSignal) -> MatrixSignal:
+    """Per-channel pointwise max-column-sum dominating signal, as 1x1 channels."""
+    return MatrixSignal(stack_norm1(u.samples)[:, :, None, None], u.horizon)
 
 
-def ubar(u: MatrixSignal) -> ScalarSignal:
-    """Per-channel pointwise max-column-sum dominating signal."""
-    return ScalarSignal(stack_norm1(u.samples), u.horizon)
-
-
-def signal_norm(u: MatrixSignal | ScalarSignal) -> float:
+def signal_norm(u: MatrixSignal) -> float:
     """max over channels of the trapezoidal L1-in-time integral."""
-    if isinstance(u, ScalarSignal):
-        per = u.samples
-        h = u.horizon / u.num_steps
-    else:
-        per = stack_norm1(u.samples)
-        h = u.h
-    if per.shape[0] == 0:
+    if u.m == 0:
         return 0.0
-    integrals = trapezoid_prefix(np.abs(per).T, h)[-1]
-    return float(integrals.max())
+    per = stack_norm1(u.samples)
+    return float(trapezoid_prefix(per.T, u.h)[-1].max())
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_criterion_5_convergence_certificate():
     ratio = 0.5
     assert cert.tail == (ratio ** 9) / (1 - ratio)
 
-    out = evaluate_fliess(c, u, 8, cap=8)
+    out = evaluate_fliess(c, u, 8)
     for n, inc in enumerate(out.increments):
         observed = float(stack_norm1(inc).max())
         assert observed <= ratio ** n + 1e-12, \

@@ -99,6 +99,46 @@ def test_fliess_series_file(capsys, tmp_path):
                        "--order", "2", "--grid", "32", "--horizon", "1.0",
                        "--certificate")
     assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"t", "values", "certificate"}
+    cert = payload["certificate"]
+    assert set(cert) == {"K", "M", "m", "R", "radius", "tail", "N", "diagnostic"}
+    # K = 2, M = 1, m = 1 and R = 1: ratio 2, outside the radius 1/2
+    assert cert["tail"] is None and "diverges" in cert["diagnostic"]
+    # on a quarter horizon R = 1/4, ratio 1/2, tail 2 (1/2)^3 / (1 - 1/2);
+    # with --out the values go to the CSV and stdout holds the certificate
+    code, out, _ = run(capsys, "--json", "fliess", "eval",
+                       "--series", str(path), "--signal", "const:1.0",
+                       "--order", "2", "--grid", "32", "--horizon", "0.25",
+                       "--certificate", "--out", str(tmp_path / "y.csv"))
+    assert code == 0
+    assert json.loads(out)["tail"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("source", ["spec", "file"])
+def test_fliess_dyson_certificate_unavailable(capsys, tmp_path, source):
+    spec = "dyson:3"
+    if source == "file":
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"rule": spec}))
+        spec = str(path)
+    code, out, _ = run(capsys, "--json", "fliess", "eval",
+                       "--series", spec, "--signal", "const:0.5",
+                       "--order", "3", "--grid", "32", "--certificate")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["values"]) == 33
+    assert payload["certificate"] == {
+        "available": False, "reason": "growth regime factorial_left_comb"}
+
+
+@pytest.mark.parametrize("series, order", [("dyson:3", "-1"), ("dyson:-2", "2")])
+def test_fliess_negative_order(capsys, series, order):
+    code, out, err = run(capsys, "--json", "fliess", "eval",
+                         "--series", series, "--signal", "const:0.5",
+                         "--order", order, "--grid", "32")
+    assert code == 1 and out == ""
+    assert "error" in json.loads(err)
 
 
 @pytest.mark.parametrize("document", [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dendrifliess.algebra import TreePolynomial, prec, shuffle, succ
+from dendrifliess.integrals import evaluate_polynomial
 from dendrifliess.operators import (
     BRACKET_ORIENTATIONS,
     DYSON_ORDER_CAP,
@@ -32,7 +33,7 @@ from dendrifliess.signals import (
     spin_field,
     stack_norm1,
 )
-from dendrifliess.trees import DLEAF, graft, left_comb
+from dendrifliess.trees import DLEAF, EnumerationCapError, catalan, graft, left_comb
 
 
 def x(i: int) -> TreePolynomial:
@@ -78,6 +79,34 @@ def test_finite_series_roundtrip():
     c = finite_series(p, 2)
     assert c.coefficient(graft(DLEAF, 1, DLEAF)) == 1
     assert c.trees_of_order(5) == []
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_full_support_lists_every_tree_once(m):
+    c = full_support_series(m)
+    for n in range(4):
+        support = c.trees_of_order(n)
+        assert len(set(support)) == len(support) == catalan(n) * (m + 1) ** n
+    with pytest.raises(EnumerationCapError):
+        c.trees_of_order(9)
+
+
+def test_full_support_letter_above_alphabet_is_zero():
+    c = full_support_series(1, K=2.0)
+    assert c.coefficient(left_comb((1, 0))) == 2
+    assert c.coefficient(left_comb((1, 2))) == 0
+
+
+def test_finite_series_matches_polynomial():
+    # mixed orders 0..4 over x0..x2; the order-4 term lies above the truncation
+    p = (TreePolynomial.unit().scale(Fraction(1, 3)) + x(0)
+         + prec(x(1), x(2)).scale(Fraction(-2))
+         + shuffle(succ(x(2), x(0)), x(1)).scale(Fraction(5, 7))
+         + TreePolynomial.single(left_comb((2, 1, 0, 1)), Fraction(3)))
+    u = random_smooth_signal(np.random.default_rng(3), 2, 2, 1.0, 128, amplitude=0.5)
+    got = evaluate_fliess(finite_series(p, 2), u, 3).values
+    want = evaluate_polynomial(p.truncate(3), u).values
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +156,8 @@ def test_certificate_covers_matrix_coefficients():
 
 
 def test_dyson_order_cap():
-    assert dyson_series(DYSON_ORDER_CAP).rule_name == f"dyson:{DYSON_ORDER_CAP}"
+    assert dyson_series(DYSON_ORDER_CAP).trees_of_order(DYSON_ORDER_CAP) == [
+        left_comb((1,) * DYSON_ORDER_CAP)]
     with pytest.raises(ValueError, match=str(DYSON_ORDER_CAP)):
         dyson_series(DYSON_ORDER_CAP + 1)
 

@@ -3,7 +3,6 @@ import pytest
 
 from dendrifliess.signals import (
     MatrixSignal,
-    ScalarSignal,
     SignalError,
     constant_signal,
     matrix_norm1,
@@ -82,11 +81,6 @@ def test_ubar_and_norm_constant():
     bar = ubar(u)
     assert np.allclose(bar.samples, 2.0)
     assert abs(signal_norm(u) - 1.0) < 1e-12  # 2 * 0.5
-
-
-def test_scalar_signal_rejects_negative():
-    with pytest.raises(SignalError):
-        ScalarSignal(np.array([[-1.0, 0.0]]), 1.0)
 
 
 def test_scaled():
