@@ -15,7 +15,6 @@ from .algebra import (
     TreePolynomial,
     char_trees,
     delta_to_tree,
-    graft_poly,
     parse_dendriform_expr,
     parse_parenthesis_word,
     pre_lie,

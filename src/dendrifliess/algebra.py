@@ -2,12 +2,12 @@
 
 Dendriform words are stored canonically as decorated trees (the tree
 isomorphism is applied eagerly), so equality of words is plain tree
-equality.  Polynomials carry exact ``Fraction`` coefficients by default;
-matrix coefficients (numpy arrays of one fixed shape) are also accepted.
+equality.  This is an algebra over the rationals: polynomials carry exact
+``Fraction`` coefficients only.  Matrix coefficients belong to generating
+series (:mod:`.operators`), which apply them when an operator is evaluated.
 
 Products provided: the two dendriform half-products ``prec`` / ``succ``,
-their associative sum ``shuffle``, the pre-Lie combination ``pre_lie``,
-and bilinear grafting.
+their associative sum ``shuffle`` and the pre-Lie combination ``pre_lie``.
 """
 
 from __future__ import annotations
@@ -16,20 +16,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
-
-import numpy as np
+from typing import Iterator, Mapping
 
 from .trees import (
     DLEAF,
-    AlphabetError,
     DecoratedTree,
-    TreeError,
     canonical_key,
     decorate,
     enumerate_trees,
     graft,
-    tree_from_json,
     tree_to_json,
 )
 
@@ -44,18 +39,14 @@ __all__ = [
     "prec",
     "succ",
     "pre_lie",
-    "graft_poly",
     "char_trees",
     "parse_dendriform_expr",
     "render_tree_expr",
     "render_polynomial",
 ]
 
-Coefficient = Fraction | np.ndarray
-
-
 class DendriformError(ValueError):
-    """Domain error in a dendriform product (disallowed empty-word slot, shapes)."""
+    """Domain error in a dendriform product: a disallowed empty-word slot."""
 
 
 class ParseError(ValueError):
@@ -67,67 +58,18 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# coefficients
-
-def _is_zero(c: Coefficient) -> bool:
-    if isinstance(c, np.ndarray):
-        return not np.any(c)
-    return c == 0
-
-
-def _mul(a: Coefficient, b: Coefficient) -> Coefficient:
-    a_mat = isinstance(a, np.ndarray)
-    b_mat = isinstance(b, np.ndarray)
-    if a_mat and b_mat:
-        raise DendriformError("cannot multiply two matrix coefficients in a tree product")
-    if a_mat or b_mat:
-        return (a * float(b)) if a_mat else (float(a) * b)
-    return a * b
-
-
-def _coeff_shape(c: Coefficient) -> tuple[int, ...] | None:
-    return c.shape if isinstance(c, np.ndarray) else None
-
-
-def _coeff_eq(a: Coefficient, b: Coefficient) -> bool:
-    a_mat = isinstance(a, np.ndarray)
-    b_mat = isinstance(b, np.ndarray)
-    if a_mat != b_mat:
-        return False
-    if a_mat:
-        return a.shape == b.shape and bool(np.array_equal(a, b))
-    return a == b
-
-
-# ---------------------------------------------------------------------------
 # tree polynomials
 
 class TreePolynomial:
-    """Finite linear combination of decorated trees.
+    """Finite linear combination of decorated trees with rational coefficients.
 
-    Immutable; zero coefficients are never stored; all coefficients of one
-    polynomial share a single shape (scalars or one matrix shape).
+    Immutable; zero coefficients are never stored.
     """
 
-    __slots__ = ("_terms", "_shape")
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[DecoratedTree, Coefficient] | None = None):
-        clean: dict[DecoratedTree, Coefficient] = {}
-        shape: tuple[int, ...] | None | str = "unset"
-        for t, c in (terms or {}).items():
-            if _is_zero(c):
-                continue
-            s = _coeff_shape(c)
-            if shape == "unset":
-                shape = s
-            elif shape != s:
-                raise DendriformError("mixed coefficient shapes in one polynomial")
-            if isinstance(c, np.ndarray):
-                c = c.copy()
-                c.setflags(write=False)
-            clean[t] = c
-        self._terms = clean
-        self._shape = None if shape == "unset" else shape
+    def __init__(self, terms: Mapping[DecoratedTree, Fraction] | None = None):
+        self._terms = {t: c for t, c in (terms or {}).items() if c}
 
     # construction helpers -------------------------------------------------
     @classmethod
@@ -135,7 +77,7 @@ class TreePolynomial:
         return cls()
 
     @classmethod
-    def single(cls, tree: DecoratedTree, coeff: Coefficient = Fraction(1)) -> "TreePolynomial":
+    def single(cls, tree: DecoratedTree, coeff: Fraction = Fraction(1)) -> "TreePolynomial":
         return cls({tree: coeff})
 
     @classmethod
@@ -144,17 +86,13 @@ class TreePolynomial:
         return cls({DLEAF: Fraction(1)})
 
     # inspection -----------------------------------------------------------
-    @property
-    def shape(self) -> tuple[int, ...] | None:
-        return self._shape
-
-    def coefficient(self, tree: DecoratedTree) -> Coefficient:
+    def coefficient(self, tree: DecoratedTree) -> Fraction:
         return self._terms.get(tree, Fraction(0))
 
     def support(self) -> set[DecoratedTree]:
         return set(self._terms)
 
-    def items(self) -> Iterator[tuple[DecoratedTree, Coefficient]]:
+    def items(self) -> Iterator[tuple[DecoratedTree, Fraction]]:
         return iter(sorted(self._terms.items(), key=lambda kv: canonical_key(kv[0])))
 
     def is_zero(self) -> bool:
@@ -162,9 +100,6 @@ class TreePolynomial:
 
     def has_leaf_term(self) -> bool:
         return DLEAF in self._terms
-
-    def max_order(self) -> int:
-        return max((t.order for t in self._terms), default=0)
 
     def homogeneous_part(self, n: int) -> "TreePolynomial":
         return TreePolynomial({t: c for t, c in self._terms.items() if t.order == n})
@@ -178,12 +113,7 @@ class TreePolynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreePolynomial):
             return NotImplemented
-        if set(self._terms) != set(other._terms):
-            return False
-        return all(_coeff_eq(c, other._terms[t]) for t, c in self._terms.items())
-
-    def __hash__(self):
-        raise TypeError("TreePolynomial is not hashable")
+        return self._terms == other._terms
 
     def __repr__(self) -> str:
         return f"TreePolynomial({render_polynomial(self)})"
@@ -202,38 +132,15 @@ class TreePolynomial:
     def __neg__(self) -> "TreePolynomial":
         return TreePolynomial({t: -c for t, c in self._terms.items()})
 
-    def scale(self, k: Coefficient) -> "TreePolynomial":
-        if _is_zero(k):
-            return TreePolynomial()
-        return TreePolynomial({t: _mul(k, c) for t, c in self._terms.items()})
+    def scale(self, k: Fraction) -> "TreePolynomial":
+        return TreePolynomial({t: k * c for t, c in self._terms.items()})
 
     def __rmul__(self, k) -> "TreePolynomial":
-        return self.scale(k if isinstance(k, (Fraction, np.ndarray)) else Fraction(k))
+        return self.scale(Fraction(k))
 
     # serialization --------------------------------------------------------
     def to_json(self) -> list[dict]:
-        out = []
-        for t, c in self.items():
-            coeff = c.tolist() if isinstance(c, np.ndarray) else str(c)
-            out.append({"coeff": coeff, "tree": tree_to_json(t)})
-        return out
-
-    @classmethod
-    def from_json(cls, data: Iterable[dict]) -> "TreePolynomial":
-        """Inverse of :meth:`to_json`; a malformed document raises ``ValueError``."""
-        if not isinstance(data, list):
-            raise ValueError("a polynomial is a JSON list of {coeff, tree} records")
-        terms: dict[DecoratedTree, Coefficient] = {}
-        for k, rec in enumerate(data):
-            try:
-                raw = rec["coeff"]
-                coeff: Coefficient = np.asarray(raw, dtype=float) if isinstance(raw, list) \
-                    else Fraction(raw)
-                tree = tree_from_json(rec["tree"])
-            except (KeyError, TypeError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad polynomial record {k}: {exc!r}") from exc
-            terms[tree] = terms.get(tree, Fraction(0)) + coeff
-        return cls(terms)
+        return [{"coeff": str(c), "tree": tree_to_json(t)} for t, c in self.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +171,10 @@ def _succ_trees(t1: DecoratedTree, t2: DecoratedTree) -> tuple[DecoratedTree, ..
 
 
 def _bilinear(p: TreePolynomial, q: TreePolynomial, tree_product) -> TreePolynomial:
-    out: dict[DecoratedTree, Coefficient] = {}
+    out: dict[DecoratedTree, Fraction] = {}
     for t1, c1 in p._terms.items():
         for t2, c2 in q._terms.items():
-            c = _mul(c1, c2)
+            c = c1 * c2
             for s in tree_product(t1, t2):
                 cur = out.get(s)
                 out[s] = c if cur is None else cur + c
@@ -298,14 +205,6 @@ def pre_lie(p: TreePolynomial, q: TreePolynomial) -> TreePolynomial:
     return prec(p, q) - succ(p, q)
 
 
-def graft_poly(p: TreePolynomial, letter: int, q: TreePolynomial) -> TreePolynomial:
-    """Bilinear extension of decorated grafting."""
-    def product(t1: DecoratedTree, t2: DecoratedTree):
-        return (DecoratedTree(t1, letter, t2),)
-
-    return _bilinear(p, q, product)
-
-
 def char_trees(n: int, letter: int = 1) -> TreePolynomial:
     """Sum of all order-``n`` trees decorated with ``letter``^n, coefficients 1."""
     return TreePolynomial({
@@ -319,11 +218,12 @@ def char_trees(n: int, letter: int = 1) -> TreePolynomial:
 _TOKEN_RE = re.compile(r"x\d+|\[|\]|\s+")
 
 
-def _tokenize(text: str) -> list[str]:
+def _tokenize(text: str, token_re: re.Pattern) -> list[str]:
+    """Split ``text`` into the non-space tokens of ``token_re``."""
     tokens: list[str] = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = token_re.match(text, pos)
         if m is None:
             raise ParseError(f"unknown token at position {pos} in {text!r}")
         tok = m.group(0)
@@ -360,7 +260,7 @@ def _matching_brackets(tokens: list[str]) -> dict[int, int]:
 
 def parse_parenthesis_word(text: str) -> ParenthesisWord:
     """Validate a parenthesis word; rejections name the violated condition."""
-    tokens = _tokenize(text)
+    tokens = _tokenize(text, _TOKEN_RE)
     if not tokens:
         return ParenthesisWord(())
     match = _matching_brackets(tokens)
@@ -444,16 +344,7 @@ class _ExprParser:
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[str] = []
-        pos = 0
-        while pos < len(text):
-            m = _EXPR_TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unknown token at position {pos} in {text!r}")
-            tok = m.group(0)
-            pos = m.end()
-            if not tok.isspace():
-                self.tokens.append(tok)
+        self.tokens = _tokenize(text, _EXPR_TOKEN_RE)
         self.pos = 0
 
     def peek(self) -> str | None:
@@ -544,9 +435,7 @@ def render_polynomial(p: TreePolynomial) -> str:
     parts: list[str] = []
     for t, c in p.items():
         expr = render_tree_expr(t)
-        if isinstance(c, np.ndarray):
-            parts.append(f"+ {np.array2string(c, separator=',')}*{expr}")
-        elif c == 1:
+        if c == 1:
             parts.append(f"+ {expr}")
         elif c == -1:
             parts.append(f"- {expr}")

@@ -61,8 +61,6 @@ def _print_polynomial(p: algebra.TreePolynomial, as_json: bool) -> None:
 # subcommands
 
 def _cmd_trees(args) -> int:
-    if args.tree_cmd != "enum":
-        raise CliError("unknown trees subcommand")
     ts = trees.enumerate_trees(args.order)
     word = trees.parse_word(args.decorate) if args.decorate else None
     records = []
@@ -101,8 +99,6 @@ def _cmd_algebra(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.eval_cmd != "tree":
-        raise CliError("unknown eval subcommand")
     p = algebra.parse_dendriform_expr(args.expr)
     u = _parse_signal(args.signal, args.grid, args.horizon)
     result = integrals.evaluate_polynomial(p, u)
@@ -124,9 +120,9 @@ def _load_series(spec: str) -> operators.GeneratingSeries:
             data = json.load(fh)
         rule = data.get("rule") if isinstance(data, dict) else None
         if not (isinstance(rule, str) and rule.startswith("dyson:")):
-            poly = algebra.TreePolynomial.from_json(data)
-            m = max((max(trees.foliation(t), default=0) for t, _ in poly.items()), default=1)
-            return operators.finite_series(poly, max(m, 1))
+            terms = operators.terms_from_json(data)
+            m = max((max(trees.foliation(t), default=0) for t in terms), default=1)
+            return operators.finite_series(terms, max(m, 1))
         spec = rule
     return operators.dyson_series(int(spec.split(":", 1)[1]))
 
@@ -139,8 +135,6 @@ def _certificate(series: operators.GeneratingSeries, u: signals.MatrixSignal,
 
 
 def _cmd_fliess(args) -> int:
-    if args.fliess_cmd != "eval":
-        raise CliError("unknown fliess subcommand")
     series = _load_series(args.series)
     u = _parse_signal(args.signal, args.grid, args.horizon)
     out = operators.evaluate_fliess(series, u, args.order)

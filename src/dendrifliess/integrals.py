@@ -15,17 +15,19 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from .algebra import Coefficient, TreePolynomial, char_trees, shuffle
+from .algebra import TreePolynomial, char_trees, shuffle
 from .signals import (
     MatrixSignal,
     SignalError,
     stack_norm1,
     trapezoid_prefix,
     ubar,
+    ubar_integrals,
 )
 from .trees import DecoratedTree, Word, foliation, left_comb, skeleton, tree_factorial
 
@@ -40,6 +42,9 @@ __all__ = [
     "check_ubar_domination",
     "check_factorial_identity",
 ]
+
+#: a weighted-sum coefficient: a rational, or a square matrix acting on the left
+Coefficient = Fraction | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,11 +144,6 @@ def check_product_identity(t1: DecoratedTree, t2: DecoratedTree,
     return float(stack_norm1(lhs - rhs).max())
 
 
-def _ubar_integrals(u: MatrixSignal) -> np.ndarray:
-    """Running integrals of the dominating scalar channels; shape (m, N+1)."""
-    return trapezoid_prefix(ubar(u).samples[..., 0, 0].T, u.h).T
-
-
 def bound_tree_factorial(t: DecoratedTree, u: MatrixSignal) -> float:
     """Single-letter bound: Ubar_i(T)^order / tree-factorial."""
     word = foliation(t)
@@ -155,13 +155,13 @@ def bound_tree_factorial(t: DecoratedTree, u: MatrixSignal) -> float:
     if i == 0:
         big_u = u.horizon
     else:
-        big_u = float(_ubar_integrals(u)[i - 1, -1])
+        big_u = float(ubar_integrals(u)[i - 1, -1])
     return big_u ** t.order / tree_factorial(skeleton(t))
 
 
 def bound_left_comb(word: Word, u: MatrixSignal) -> float:
     """Left-comb bound: product over letters of Ubar_j(T)^{n_j} / n_j!."""
-    integrals = _ubar_integrals(u)
+    integrals = ubar_integrals(u)
     out = 1.0
     for j in set(word):
         n_j = word.count(j)

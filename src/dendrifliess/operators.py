@@ -8,6 +8,9 @@ over decorated planar binary trees taken one order at a time.  A
 and :func:`evaluate_fliess` forms each order's increment with one weighted
 sum of iterated integrals (:meth:`TreeEvaluator.weighted_sum`).
 
+Coefficients are exact rationals, or square matrices acting on the left;
+matrices live only in series, never in the (rational) dendriform algebra.
+
 The pre-Lie bracket used in the exponent recursion comes in several
 orientations; see :func:`resolve_pre_lie_orientation`.  The default,
 ``"standard"``, is the dendriform pre-Lie product a |> b = a > b - b < a,
@@ -20,20 +23,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra import Coefficient, TreePolynomial, pre_lie, prec, shuffle, succ
-from .integrals import EvaluationResult, TreeEvaluator, evaluate_polynomial
+from .algebra import TreePolynomial, pre_lie, prec, shuffle, succ
+from .integrals import Coefficient, EvaluationResult, TreeEvaluator, evaluate_polynomial
 from .signals import MatrixSignal, SignalError, matrix_norm1, signal_norm, stack_norm1
 from .trees import (
     DLEAF,
     DecoratedTree,
     EnumerationCapError,
+    canonical_key,
     enumerate_decorated_trees,
     graft,
     left_comb,
+    tree_from_json,
 )
 
 __all__ = [
@@ -46,6 +51,7 @@ __all__ = [
     "dyson_series",
     "full_support_series",
     "finite_series",
+    "terms_from_json",
     "product_connection",
     "bernoulli",
     "magnus_generating_series",
@@ -76,9 +82,9 @@ class GeneratingSeries:
 
     ``part(n)`` returns the order-``n`` trees with nonzero coefficients as
     ``(tree, coefficient)`` pairs, in enumeration order; every other tree has
-    coefficient 0.  ``terms`` is the explicit polynomial of a finite series
-    and ``None`` otherwise.  ``growth_regime`` declares which convergence
-    theorem applies: ``geometric`` (|c(eta)| <= K M^n) or
+    coefficient 0.  ``terms`` maps the trees of a finite series to their
+    coefficients and is ``None`` otherwise.  ``growth_regime`` declares which
+    convergence theorem applies: ``geometric`` (|c(eta)| <= K M^n) or
     ``factorial_left_comb`` (|c(eta)| <= K M^n n!).
     """
 
@@ -87,10 +93,7 @@ class GeneratingSeries:
     M: float
     growth_regime: str
     part: Callable[[int], Part]
-    terms: TreePolynomial | None = None
-
-    def coefficient(self, tree: DecoratedTree):
-        return dict(self.part(tree.order)).get(tree, 0)
+    terms: Mapping[DecoratedTree, Coefficient] | None = None
 
     def trees_of_order(self, n: int) -> list[DecoratedTree]:
         return [tree for tree, _ in self.part(n)]
@@ -195,29 +198,66 @@ def full_support_series(m: int, K: float = 1.0, M: float = 1.0) -> GeneratingSer
     return GeneratingSeries(m=m, K=K, M=M, growth_regime="geometric", part=part)
 
 
-def finite_series(terms: TreePolynomial, m: int) -> GeneratingSeries:
-    """Explicit polynomial; ``K`` bounds every coefficient's norm, with M = 1."""
-    scale = max((_coeff_norm(c) for _, c in terms.items()), default=1.0)
+def _read_only(c: Coefficient) -> Coefficient:
+    if isinstance(c, np.ndarray):
+        c = c.copy()
+        c.setflags(write=False)
+    return c
+
+
+def finite_series(terms: Mapping[DecoratedTree, Coefficient], m: int) -> GeneratingSeries:
+    """Explicit coefficients: a :class:`TreePolynomial`, or a mapping from trees
+    to rationals or to square matrices of one shape.  Matrices are stored as
+    read-only copies, so ``K``, which bounds every coefficient's norm, stays
+    sound; M = 1."""
+    items = sorted(((t, _read_only(c)) for t, c in terms.items() if np.any(c)),
+                   key=lambda kv: canonical_key(kv[0]))
+    scale = max((_coeff_norm(c) for _, c in items), default=1.0)
 
     def part(n: int) -> Part:
-        return [(tree, c) for tree, c in terms.items() if tree.order == n]
+        return [(tree, c) for tree, c in items if tree.order == n]
 
     return GeneratingSeries(m=m, K=max(scale, 1.0), M=1.0, growth_regime="geometric",
-                            part=part, terms=terms)
+                            part=part, terms=dict(items))
+
+
+def terms_from_json(data: list[dict]) -> dict[DecoratedTree, Coefficient]:
+    """Coefficients of ``{coeff, tree}`` records (as :meth:`TreePolynomial.to_json`
+    writes them): a list ``coeff`` is a square matrix, any other a rational.
+    Records on one tree add up and zeros are dropped; a malformed record, or
+    nonzero coefficients of different shapes, raise ``ValueError``."""
+    if not isinstance(data, list):
+        raise ValueError("a series is a JSON list of {coeff, tree} records")
+    terms: dict[DecoratedTree, Coefficient] = {}
+    for k, rec in enumerate(data):
+        try:
+            raw = rec["coeff"]
+            coeff = np.array(raw, dtype=float) if isinstance(raw, list) else Fraction(raw)
+            tree = tree_from_json(rec["tree"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad series record {k}: {exc!r}") from exc
+        if isinstance(raw, list) and (coeff.ndim != 2 or coeff.shape[0] != coeff.shape[1]):
+            raise ValueError(f"bad series record {k}: a matrix coeff must be square")
+        if not np.any(coeff):
+            continue
+        if terms and np.shape(coeff) != np.shape(next(iter(terms.values()))):
+            raise ValueError("mixed coefficient shapes in one series")
+        terms[tree] = terms[tree] + coeff if tree in terms else coeff
+    return {tree: c for tree, c in terms.items() if np.any(c)}
 
 
 def product_connection(c: GeneratingSeries, d: GeneratingSeries) -> GeneratingSeries:
     """Finite series whose operator equals the product of the two operators.
 
-    Both inputs must be finite with scalar (identity-multiple) coefficients;
-    the result's coefficients come from shuffling the supports.
+    Both inputs must be finite with rational coefficients; the result's
+    coefficients come from shuffling the supports.
     """
     if c.terms is None or d.terms is None:
         raise ValueError("product connection requires finite-support series")
-    for _, coeff in list(c.terms.items()) + list(d.terms.items()):
-        if isinstance(coeff, np.ndarray):
-            raise ValueError("product connection requires scalar coefficients")
-    return finite_series(shuffle(c.terms, d.terms), max(c.m, d.m))
+    if any(isinstance(coeff, np.ndarray) for s in (c, d) for coeff in s.terms.values()):
+        raise ValueError("product connection requires scalar coefficients")
+    product = shuffle(TreePolynomial(c.terms), TreePolynomial(d.terms))
+    return finite_series(product, max(c.m, d.m))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ __all__ = [
     "matrix_norm1",
     "stack_norm1",
     "ubar",
+    "ubar_integrals",
     "signal_norm",
     "trapezoid_prefix",
     "constant_signal",
@@ -122,12 +123,16 @@ def ubar(u: MatrixSignal) -> MatrixSignal:
     return MatrixSignal(stack_norm1(u.samples)[:, :, None, None], u.horizon)
 
 
+def ubar_integrals(u: MatrixSignal) -> np.ndarray:
+    """Running integrals of the dominating channels of :func:`ubar`; shape (m, N+1)."""
+    return trapezoid_prefix(stack_norm1(u.samples).T, u.h).T
+
+
 def signal_norm(u: MatrixSignal) -> float:
     """max over channels of the trapezoidal L1-in-time integral."""
     if u.m == 0:
         return 0.0
-    per = stack_norm1(u.samples)
-    return float(trapezoid_prefix(per.T, u.h)[-1].max())
+    return float(ubar_integrals(u)[:, -1].max())
 
 
 # ---------------------------------------------------------------------------

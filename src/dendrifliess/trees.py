@@ -118,12 +118,8 @@ LEAF = PlanarTree()
 DLEAF = DecoratedTree()
 
 
-def graft(left: DecoratedTree, letter: int, right: DecoratedTree,
-          alphabet_size: int | None = None) -> DecoratedTree:
+def graft(left: DecoratedTree, letter: int, right: DecoratedTree) -> DecoratedTree:
     """Decorated binary grafting: join two trees under a new ``letter`` root."""
-    if letter < 0 or (alphabet_size is not None and letter > alphabet_size):
-        raise AlphabetError(
-            f"letter x{letter} outside alphabet x0..x{alphabet_size}")
     return DecoratedTree(left, letter, right)
 
 
@@ -190,27 +186,27 @@ def _enumerate(n: int) -> tuple[PlanarTree, ...]:
     return tuple(out)
 
 
-def enumerate_trees(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[PlanarTree, ...]:
-    """All planar binary trees of order ``n`` in canonical order.
+def enumerate_trees(n: int) -> tuple[PlanarTree, ...]:
+    """All planar binary trees of order ``n`` in canonical order; orders
+    above ``DEFAULT_ENUMERATION_CAP`` are refused.
 
     Canonical order is (left-subtree key, right-subtree key) lexicographic,
     which the Segner-style generation produces directly.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > cap:
+    if n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"order {n} above enumeration cap {cap} (C_{n} trees)")
+            f"order {n} above enumeration cap {DEFAULT_ENUMERATION_CAP} (C_{n} trees)")
     return _enumerate(n)
 
 
-def enumerate_decorated_trees(n: int, alphabet_size: int,
-                              cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[DecoratedTree]:
+def enumerate_decorated_trees(n: int, alphabet_size: int) -> Iterator[DecoratedTree]:
     """All trees of order ``n`` decorated with all words over x0..x<alphabet_size>."""
     import itertools
 
     letters = range(alphabet_size + 1)
-    for skel in enumerate_trees(n, cap=cap):
+    for skel in enumerate_trees(n):
         for word in itertools.product(letters, repeat=n):
             yield decorate(word, skel)
 

@@ -1,9 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from dendrifliess import cli
+from dendrifliess import cli, integrals, signals, trees
 
 
 def run(capsys, *argv):
@@ -155,6 +156,59 @@ def test_fliess_bad_series_file(capsys, tmp_path, document):
                          "--order", "2", "--grid", "32")
     assert code == 1 and out == ""
     assert "error" in json.loads(err)
+
+
+X0 = {"l": None, "x": 0, "r": None}
+X1 = {"l": None, "x": 1, "r": None}
+MATRIX_SERIES = [  # 2x2 coefficients over x0 and x1
+    ([[1.0, 2.0], [0.0, -1.0]], X1),
+    ([[0.5, 0.0], [3.0, 0.25]], {"l": X0, "x": 1, "r": None}),
+    ([[0.0, -1.0], [1.0, 0.5]], {"l": None, "x": 1, "r": X0}),
+]
+
+
+def test_fliess_matrix_series_file(capsys, tmp_path):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps([{"coeff": c, "tree": t} for c, t in MATRIX_SERIES]))
+    code, out, _ = run(capsys, "--json", "fliess", "eval",
+                       "--series", str(path), "--signal", "const:0,1;-1,0",
+                       "--order", "2", "--grid", "32", "--horizon", "0.1",
+                       "--certificate")
+    assert code == 0
+    payload = json.loads(out)
+    u = signals.constant_signal(np.array([[0.0, 1.0], [-1.0, 0.0]]), 0.1, 32)
+    ev = integrals.TreeEvaluator(u)
+    want = sum(np.array(c) @ ev.values(trees.tree_from_json(t)) for c, t in MATRIX_SERIES)
+    assert np.allclose(payload["values"], want, rtol=1e-14, atol=1e-15)
+    # K is the largest max-column-sum of a coefficient: 3.5, from the second
+    assert payload["certificate"]["K"] == max(
+        float(np.abs(c).sum(axis=0).max()) for c, _ in MATRIX_SERIES) == 3.5
+
+
+@pytest.mark.parametrize("document, message", [
+    ([{"coeff": "1", "tree": X1}, {"coeff": [[1.0, 0.0], [0.0, 1.0]], "tree": X0}],
+     "mixed coefficient shapes"),
+    ([{"coeff": [1.0, 2.0], "tree": X1}], "square"),
+])
+def test_fliess_bad_matrix_series_file(capsys, tmp_path, document, message):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "--json", "fliess", "eval",
+                         "--series", str(path), "--signal", "const:0,1;-1,0",
+                         "--order", "2", "--grid", "32")
+    assert code == 1 and out == ""
+    assert message in json.loads(err)["error"]
+
+
+def test_fliess_zero_record_outside_alphabet_dropped(capsys, tmp_path):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps([{"coeff": "2", "tree": X1},
+                                {"coeff": "0", "tree": {"l": None, "x": 5, "r": None}}]))
+    code, out, _ = run(capsys, "--json", "fliess", "eval",
+                       "--series", str(path), "--signal", "const:1.0",
+                       "--order", "1", "--grid", "32", "--horizon", "0.5")
+    assert code == 0
+    assert json.loads(out)["values"][-1][0][0] == pytest.approx(1.0)
 
 
 def test_fliess_dyson_above_cap(capsys):

@@ -19,6 +19,7 @@ from dendrifliess.algebra import (
     shuffle,
     succ,
 )
+from dendrifliess.operators import terms_from_json
 from dendrifliess.trees import DLEAF, catalan, decorate, enumerate_trees, graft
 
 
@@ -139,7 +140,7 @@ def test_polynomial_homogeneous_part():
 
 def test_polynomial_json_roundtrip():
     p = x(1).scale(Fraction(3, 7)) - prec(x(2), x(1))
-    assert TreePolynomial.from_json(p.to_json()) == p
+    assert TreePolynomial(terms_from_json(p.to_json())) == p
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,7 @@ def test_pre_lie_is_commutator_integral(u22):
 
 def test_matrix_coefficients_act_on_left(u22):
     c = np.array([[1.0, 2.0], [0.0, -1.0]])
-    p = TreePolynomial.single(graft(DLEAF, 1, DLEAF), c)
-    got = evaluate_polynomial(p, u22).values
+    got = TreeEvaluator(u22).weighted_sum([(graft(DLEAF, 1, DLEAF), c)])
     want = c @ evaluate_polynomial(x(1), u22).values
     assert np.allclose(got, want, atol=0)
 

@@ -59,25 +59,25 @@ def test_bernoulli_values():
 
 def test_dyson_series_support():
     c = dyson_series(4)
-    assert c.coefficient(left_comb((1, 1, 1))) == 1
-    assert c.coefficient(left_comb((1, 1, 1, 1, 1))) == 0  # above order
-    assert c.coefficient(left_comb((1, 2))) == 0  # wrong letter
+    assert dict(c.part(3)).get(left_comb((1, 1, 1)), 0) == 1
+    assert dict(c.part(5)).get(left_comb((1, 1, 1, 1, 1)), 0) == 0  # above order
+    assert dict(c.part(2)).get(left_comb((1, 2)), 0) == 0  # wrong letter
     # non-comb skeleton of order >= 2
     non_comb = graft(graft(DLEAF, 1, DLEAF), 1, graft(DLEAF, 1, DLEAF))
-    assert c.coefficient(non_comb) == 0
+    assert dict(c.part(3)).get(non_comb, 0) == 0
     assert c.verify_growth(4)
 
 
 def test_full_support_series_growth():
     c = full_support_series(2, K=1.5, M=0.5)
-    assert c.coefficient(left_comb((1, 2))) == Fraction(1.5) * Fraction(0.5) ** 2
+    assert dict(c.part(2)).get(left_comb((1, 2)), 0) == Fraction(1.5) * Fraction(0.5) ** 2
     assert c.verify_growth(4)
 
 
 def test_finite_series_roundtrip():
     p = x(1) + prec(x(1), x(2)).scale(Fraction(-2))
     c = finite_series(p, 2)
-    assert c.coefficient(graft(DLEAF, 1, DLEAF)) == 1
+    assert dict(c.part(1)).get(graft(DLEAF, 1, DLEAF), 0) == 1
     assert c.trees_of_order(5) == []
 
 
@@ -93,8 +93,8 @@ def test_full_support_lists_every_tree_once(m):
 
 def test_full_support_letter_above_alphabet_is_zero():
     c = full_support_series(1, K=2.0)
-    assert c.coefficient(left_comb((1, 0))) == 2
-    assert c.coefficient(left_comb((1, 2))) == 0
+    assert dict(c.part(2)).get(left_comb((1, 0)), 0) == 2
+    assert dict(c.part(2)).get(left_comb((1, 2)), 0) == 0
 
 
 def test_finite_series_matches_polynomial():
@@ -146,13 +146,29 @@ def test_certificate_diagnostic_outside_radius():
 
 def test_certificate_covers_matrix_coefficients():
     # K follows the coefficient norm, so the tail bounds the observed increment
-    c = finite_series(TreePolynomial.single(left_comb((1, 1)), 100 * np.eye(2)), 1)
+    c = finite_series({left_comb((1, 1)): 100 * np.eye(2)}, 1)
     assert c.K == 100.0 and c.verify_growth()
     u = constant_signal(np.eye(2), 0.1, 64)
     out = evaluate_fliess(c, u, 2)
     increment = float(stack_norm1(out.increments[2][-1]))
     assert increment == pytest.approx(0.5, rel=1e-9)
     assert convergence_certificate(c, u, 1).tail >= increment
+
+
+def test_finite_series_stores_read_only_copies():
+    # editing the caller's array afterwards cannot push a coefficient above K
+    a = 2 * np.eye(2)
+    c = finite_series({left_comb((1,)): a, left_comb((1, 1)): np.zeros((2, 2))}, 1)
+    a[0, 0] = 100.0
+    [(_, stored)] = c.part(1)
+    assert c.K == 2.0 and stored[0, 0] == 2.0 and not stored.flags.writeable
+    assert c.part(2) == []  # the zero coefficient is dropped
+
+
+def test_product_connection_accepts_rational_mapping():
+    c = finite_series({graft(DLEAF, 1, DLEAF): Fraction(2)}, 1)
+    e = product_connection(c, finite_series(x(1), 1))
+    assert e.terms == {t: 2 * k for t, k in shuffle(x(1), x(1)).items()}
 
 
 def test_dyson_order_cap():
@@ -184,8 +200,7 @@ def test_product_connection_identity():
 def test_product_connection_requires_finite_scalar():
     with pytest.raises(ValueError):
         product_connection(full_support_series(1), finite_series(x(1), 1))
-    c = finite_series(TreePolynomial.single(
-        graft(DLEAF, 1, DLEAF), np.eye(2)), 1)
+    c = finite_series({graft(DLEAF, 1, DLEAF): np.eye(2)}, 1)
     with pytest.raises(ValueError):
         product_connection(c, finite_series(x(1), 1))
 
