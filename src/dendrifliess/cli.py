@@ -116,13 +116,16 @@ def _load_series(spec: str) -> operators.GeneratingSeries:
     """``dyson:<N>``, or a JSON file with ``{"rule": "dyson:<N>"}`` or a list
     of ``{coeff, tree}`` records."""
     if not spec.startswith("dyson:"):
-        with open(spec) as fh:
-            data = json.load(fh)
-        rule = data.get("rule") if isinstance(data, dict) else None
-        if not (isinstance(rule, str) and rule.startswith("dyson:")):
-            terms = operators.terms_from_json(data)
-            m = max((max(trees.foliation(t), default=0) for t in terms), default=1)
-            return operators.finite_series(terms, max(m, 1))
+        try:
+            with open(spec) as fh:
+                data = json.load(fh)
+            rule = data.get("rule") if isinstance(data, dict) else None
+            if not (isinstance(rule, str) and rule.startswith("dyson:")):
+                terms = operators.terms_from_json(data)
+                m = max((max(trees.foliation(t), default=0) for t in terms), default=1)
+                return operators.finite_series(terms, max(m, 1))
+        except RecursionError as exc:
+            raise CliError(f"series file {spec} nests too deeply to read") from exc
         spec = rule
     return operators.dyson_series(int(spec.split(":", 1)[1]))
 

@@ -5,8 +5,10 @@ a tree ``l v_x r`` the integrand at each node is ``E_l . u_x . E_r`` and the
 running integral is a composite trapezoid (second-order scheme).  Subtree
 values are memoized per evaluator, so a polynomial costs one vectorized pass
 per distinct subtree.  Every coefficient-weighted sum of tree values (a
-polynomial, or one order of a generating series) is formed by
-:meth:`TreeEvaluator.weighted_sum`.
+polynomial, or one order of a finite or Dyson series) is formed by
+:meth:`TreeEvaluator.weighted_sum`; the sum over all trees of one order is
+:meth:`TreeEvaluator.all_trees_sum`, which splits each tree at its root and
+evaluates no tree by itself.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ class TreeEvaluator:
         self._eye = np.broadcast_to(
             np.eye(u.dim), (u.num_steps + 1, u.dim, u.dim))
         self._cache: dict[DecoratedTree, np.ndarray] = {}
+        self._sums: dict[int, list[np.ndarray]] = {}
 
     def values(self, t: DecoratedTree) -> np.ndarray:
         if t.is_leaf:
@@ -121,6 +124,20 @@ class TreeEvaluator:
         if acc is None:
             return np.zeros((self.u.num_steps + 1, self.u.dim, self.u.dim))
         return acc
+
+    def all_trees_sum(self, m: int, n: int) -> np.ndarray:
+        """S_n, the sum of E_eta over all trees of order ``n`` with letters
+        x0..xm, by the root split: S_0 = I, S_k = trapezoid(sum_j S_j U S_{k-1-j})
+        with U = u_0 + ... + u_m.  The trapezoid is linear, so this equals the
+        tree-by-tree sum on the grid; S_0..S_n are kept per ``m``."""
+        sums = self._sums.setdefault(m, [self._eye])
+        if len(sums) <= n:
+            big_u = sum(self.u.channel(i) for i in range(m + 1))
+        while len(sums) <= n:
+            k = len(sums)
+            integrand = sum(sums[j] @ big_u @ sums[k - 1 - j] for j in range(k))
+            sums.append(trapezoid_prefix(integrand, self.u.h))
+        return sums[n]
 
     def polynomial(self, p: TreePolynomial) -> np.ndarray:
         return self.weighted_sum(p.items())

@@ -4,9 +4,12 @@ Bernoulli/pre-Lie recursion for the true-exponential representation.
 
 A Fliess operator is F_c[u] = sum_n sum_{|eta| = n} c(eta) E_eta[u], a sum
 over decorated planar binary trees taken one order at a time.  A
-:class:`GeneratingSeries` therefore lists its coefficients order by order,
-and :func:`evaluate_fliess` forms each order's increment with one weighted
-sum of iterated integrals (:meth:`TreeEvaluator.weighted_sum`).
+:class:`GeneratingSeries` therefore gives each order's increment through its
+``order_sum``, the only thing :func:`evaluate_fliess` calls: a finite or
+Dyson series forms one weighted sum of iterated integrals
+(:meth:`TreeEvaluator.weighted_sum`); the full-support series sums all
+trees of an order at once by their root split
+(:meth:`TreeEvaluator.all_trees_sum`), with no tree enumeration.
 
 Coefficients are exact rationals, or square matrices acting on the left;
 matrices live only in series, never in the (rational) dendriform algebra.
@@ -30,16 +33,7 @@ import numpy as np
 from .algebra import TreePolynomial, pre_lie, prec, shuffle, succ
 from .integrals import Coefficient, EvaluationResult, TreeEvaluator, evaluate_polynomial
 from .signals import MatrixSignal, SignalError, matrix_norm1, signal_norm, stack_norm1
-from .trees import (
-    DLEAF,
-    DecoratedTree,
-    EnumerationCapError,
-    canonical_key,
-    enumerate_decorated_trees,
-    graft,
-    left_comb,
-    tree_from_json,
-)
+from .trees import DLEAF, DecoratedTree, canonical_key, graft, left_comb, tree_from_json
 
 __all__ = [
     "GeneratingSeries",
@@ -60,11 +54,8 @@ __all__ = [
     "matrix_exp",
     "expm_stack",
     "rk4_reference",
-    "DEFAULT_GENERAL_ORDER_CAP",
     "BRACKET_ORIENTATIONS",
 ]
-
-DEFAULT_GENERAL_ORDER_CAP = 8
 
 
 def _coeff_norm(c: Coefficient) -> float:
@@ -72,41 +63,24 @@ def _coeff_norm(c: Coefficient) -> float:
     return matrix_norm1(c) if isinstance(c, np.ndarray) else abs(float(c))
 
 
-#: one order of a generating series: its (tree, nonzero coefficient) pairs
-Part = list[tuple[DecoratedTree, Coefficient]]
-
-
 @dataclass(frozen=True, eq=False)
 class GeneratingSeries:
-    """Coefficients of a Fliess operator, listed order by order.
+    """Coefficients of a Fliess operator, summed order by order.
 
-    ``part(n)`` returns the order-``n`` trees with nonzero coefficients as
-    ``(tree, coefficient)`` pairs, in enumeration order; every other tree has
-    coefficient 0.  ``terms`` maps the trees of a finite series to their
-    coefficients and is ``None`` otherwise.  ``growth_regime`` declares which
-    convergence theorem applies: ``geometric`` (|c(eta)| <= K M^n) or
-    ``factorial_left_comb`` (|c(eta)| <= K M^n n!).
+    ``order_sum(ev, n)`` returns the order-``n`` increment
+    sum_{|eta| = n} c(eta) E_eta on the grid of the evaluator ``ev``.
+    ``terms`` maps the trees of a finite series to their coefficients and is
+    ``None`` otherwise.  ``growth_regime`` declares which convergence theorem
+    applies: ``geometric`` (|c(eta)| <= K M^n) or ``factorial_left_comb``
+    (|c(eta)| <= K M^n n!).
     """
 
     m: int
     K: float
     M: float
     growth_regime: str
-    part: Callable[[int], Part]
+    order_sum: Callable[[TreeEvaluator, int], np.ndarray]
     terms: Mapping[DecoratedTree, Coefficient] | None = None
-
-    def trees_of_order(self, n: int) -> list[DecoratedTree]:
-        return [tree for tree, _ in self.part(n)]
-
-    def verify_growth(self, max_order: int = 5) -> bool:
-        """Spot-check the declared growth regime on all trees up to ``max_order``."""
-        for n in range(max_order + 1):
-            bound = self.K * self.M ** n
-            if self.growth_regime == "factorial_left_comb":
-                bound *= math.factorial(n)
-            if any(_coeff_norm(c) > bound * (1 + 1e-12) for _, c in self.part(n)):
-                return False
-        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +102,7 @@ def evaluate_fliess(c: GeneratingSeries, u: MatrixSignal, order: int) -> FliessO
     if order < 0:
         raise ValueError(f"truncation order must be >= 0, got {order}")
     ev = TreeEvaluator(u)
-    increments = [ev.weighted_sum(c.part(n)) for n in range(order + 1)]
+    increments = [c.order_sum(ev, n) for n in range(order + 1)]
     return FliessOutput(u.grid, sum(increments[1:], increments[0]), order, increments)
 
 
@@ -178,24 +152,22 @@ def dyson_series(order: int) -> GeneratingSeries:
     if not 0 <= order <= DYSON_ORDER_CAP:
         raise ValueError(f"Dyson order {order} outside 0..{DYSON_ORDER_CAP}")
 
-    def part(n: int) -> Part:
-        return [(left_comb((1,) * n), Fraction(1))] if 0 <= n <= order else []
+    def order_sum(ev: TreeEvaluator, n: int) -> np.ndarray:
+        return ev.weighted_sum([(left_comb((1,) * n), Fraction(1))] if n <= order else [])
 
     return GeneratingSeries(m=1, K=1.0, M=1.0, growth_regime="factorial_left_comb",
-                            part=part)
+                            order_sum=order_sum)
 
 
 def full_support_series(m: int, K: float = 1.0, M: float = 1.0) -> GeneratingSeries:
     """All trees, all words over x0..xm, coefficient K * M^order (geometric
-    regime); orders above ``DEFAULT_GENERAL_ORDER_CAP`` are refused."""
-    def part(n: int) -> Part:
-        if n > DEFAULT_GENERAL_ORDER_CAP:
-            raise EnumerationCapError(
-                f"general-support order {n} above cap {DEFAULT_GENERAL_ORDER_CAP}")
-        coeff = Fraction(K) * Fraction(M) ** n
-        return [(tree, coeff) for tree in enumerate_decorated_trees(n, m)] if coeff else []
+    regime).  Each order is summed through the root split of its trees
+    (:meth:`TreeEvaluator.all_trees_sum`), so no tree is enumerated and every
+    order evaluates."""
+    def order_sum(ev: TreeEvaluator, n: int) -> np.ndarray:
+        return float(Fraction(K) * Fraction(M) ** n) * ev.all_trees_sum(m, n)
 
-    return GeneratingSeries(m=m, K=K, M=M, growth_regime="geometric", part=part)
+    return GeneratingSeries(m=m, K=K, M=M, growth_regime="geometric", order_sum=order_sum)
 
 
 def _read_only(c: Coefficient) -> Coefficient:
@@ -214,11 +186,11 @@ def finite_series(terms: Mapping[DecoratedTree, Coefficient], m: int) -> Generat
                    key=lambda kv: canonical_key(kv[0]))
     scale = max((_coeff_norm(c) for _, c in items), default=1.0)
 
-    def part(n: int) -> Part:
-        return [(tree, c) for tree, c in items if tree.order == n]
+    def order_sum(ev: TreeEvaluator, n: int) -> np.ndarray:
+        return ev.weighted_sum((tree, c) for tree, c in items if tree.order == n)
 
     return GeneratingSeries(m=m, K=max(scale, 1.0), M=1.0, growth_regime="geometric",
-                            part=part, terms=dict(items))
+                            order_sum=order_sum, terms=dict(items))
 
 
 def terms_from_json(data: list[dict]) -> dict[DecoratedTree, Coefficient]:
@@ -320,7 +292,7 @@ def magnus_generating_series(order: int,
     """Exponent d = sum_j (B_j / j!) L^(j), L^(j) = bracket(d, L^(j-1)), L^(0) = x1,
     truncated to ``order``.
 
-    One graded pass: the degree-n parts are d_1 = x1 and
+    One graded pass: the degree-n components are d_1 = x1 and
     d_n = sum_{j=1}^{n-1} (B_j / j!) L_n^(j), with
     L_n^(j) = sum_m bracket(d_m, L_{n-m}^(j-1)).  Every bracket is
     homogeneous and d_n needs only lower degrees, so each degree is built
@@ -332,7 +304,7 @@ def magnus_generating_series(order: int,
     bracket = _bracket(orientation)
     x1 = TreePolynomial.single(graft(DLEAF, 1, DLEAF))
     d = {1: x1}
-    # levels[j][n] is L_n^(j), the degree-n part of the j-fold bracket
+    # levels[j][n] is L_n^(j), the degree-n component of the j-fold bracket
     levels: list[dict[int, TreePolynomial]] = [{1: x1}] + [{} for _ in range(1, order)]
     for n in range(2, order + 1):
         d[n] = TreePolynomial()

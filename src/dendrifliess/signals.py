@@ -77,8 +77,8 @@ class MatrixSignal:
             raise SignalError(f"samples must be (m, N+1, n, n), got {s.shape}")
         if s.shape[1] < 2:
             raise SignalError("need at least N=1, i.e. two grid nodes")
-        if self.horizon <= 0:
-            raise SignalError("horizon must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise SignalError(f"horizon must be finite and positive, got {self.horizon}")
         if not np.all(np.isfinite(s)):
             raise SignalError("non-finite samples")
         s = s.copy()

@@ -23,9 +23,7 @@ __all__ = [
     "DLEAF",
     "Word",
     "parse_word",
-    "word_to_str",
     "graft",
-    "graft_skeletons",
     "skeleton",
     "foliation",
     "decorate",
@@ -39,7 +37,6 @@ __all__ = [
     "tree_factorial",
     "canonical_key",
     "skeleton_string",
-    "skeleton_from_string",
     "tree_to_json",
     "tree_from_json",
     "DEFAULT_ENUMERATION_CAP",
@@ -121,11 +118,6 @@ DLEAF = DecoratedTree()
 def graft(left: DecoratedTree, letter: int, right: DecoratedTree) -> DecoratedTree:
     """Decorated binary grafting: join two trees under a new ``letter`` root."""
     return DecoratedTree(left, letter, right)
-
-
-def graft_skeletons(left: PlanarTree, right: PlanarTree) -> PlanarTree:
-    """Undecorated binary grafting."""
-    return PlanarTree(left, right)
 
 
 def skeleton(t: DecoratedTree) -> PlanarTree:
@@ -273,29 +265,6 @@ def skeleton_string(t: PlanarTree) -> str:
     return skeleton_string(t.left) + "(" + skeleton_string(t.right) + ")"
 
 
-def skeleton_from_string(text: str) -> PlanarTree:
-    """Inverse of :func:`skeleton_string`."""
-    pos = 0
-
-    def rec() -> PlanarTree:
-        nonlocal pos
-        t = LEAF
-        while pos < len(text) and text[pos] == "(":
-            pos += 1
-            inner = rec()
-            if pos >= len(text) or text[pos] != ")":
-                raise TreeError(f"unbalanced skeleton string {text!r}")
-            pos += 1
-            t = PlanarTree(t, inner)
-        return t
-
-    # Build left-to-right: '(' groups attach as right children of a new root.
-    out = rec()
-    if pos != len(text):
-        raise TreeError(f"trailing characters in skeleton string {text!r}")
-    return out
-
-
 def tree_to_json(t: DecoratedTree) -> dict | None:
     """JSON form {"l": ..., "x": i, "r": ...}; leaf -> null."""
     if t.is_leaf:
@@ -325,7 +294,3 @@ def parse_word(text: str) -> Word:
         out.append(int(text[i + 1:j]))
         i = j
     return tuple(out)
-
-
-def word_to_str(word: Sequence[int]) -> str:
-    return "".join(f"x{i}" for i in word)

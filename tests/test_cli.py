@@ -219,6 +219,28 @@ def test_fliess_dyson_above_cap(capsys):
     assert "256" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("depth", [600, 3000])
+def test_fliess_deep_series_file(capsys, tmp_path, depth):
+    # a right comb of x1 written out as text, too deep to read recursively
+    tree = '{"l": ' * depth + "null" + ', "x": 1, "r": null}' * depth
+    path = tmp_path / "deep.json"
+    path.write_text('[{"coeff": "1", "tree": ' + tree + "}]")
+    code, out, err = run(capsys, "--json", "fliess", "eval",
+                         "--series", str(path), "--signal", "const:0.5",
+                         "--order", "2", "--grid", "4")
+    assert code == 1 and out == ""
+    assert "nests too deeply" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_fliess_non_finite_horizon(capsys, horizon):
+    code, out, err = run(capsys, "--json", "fliess", "eval",
+                         "--series", "dyson:3", "--signal", "const:1",
+                         "--order", "3", "--horizon", horizon, "--grid", "4")
+    assert code == 1 and out == ""
+    assert "horizon" in json.loads(err)["error"]
+
+
 def test_magnus_json(capsys):
     code, out, _ = run(capsys, "--json", "magnus", "--signal", "spin:0.5,rot",
                        "--order", "2", "--grid", "128", "--compare-rk4")

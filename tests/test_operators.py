@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dendrifliess.algebra import TreePolynomial, prec, shuffle, succ
-from dendrifliess.integrals import evaluate_polynomial
+from dendrifliess.integrals import TreeEvaluator, evaluate_polynomial
 from dendrifliess.operators import (
     BRACKET_ORIENTATIONS,
     DYSON_ORDER_CAP,
@@ -33,7 +33,13 @@ from dendrifliess.signals import (
     spin_field,
     stack_norm1,
 )
-from dendrifliess.trees import DLEAF, EnumerationCapError, catalan, graft, left_comb
+from dendrifliess.trees import (
+    DLEAF,
+    catalan,
+    enumerate_decorated_trees,
+    graft,
+    left_comb,
+)
 
 
 def x(i: int) -> TreePolynomial:
@@ -57,44 +63,71 @@ def test_bernoulli_values():
 # ---------------------------------------------------------------------------
 # series objects
 
+def _generic_signal(m: int = 2):
+    return random_smooth_signal(np.random.default_rng(5), m, 2, 0.5, 32, amplitude=0.5)
+
+
 def test_dyson_series_support():
+    # only the x1 left comb of each order up to 4 contributes, with coefficient 1
     c = dyson_series(4)
-    assert dict(c.part(3)).get(left_comb((1, 1, 1)), 0) == 1
-    assert dict(c.part(5)).get(left_comb((1, 1, 1, 1, 1)), 0) == 0  # above order
-    assert dict(c.part(2)).get(left_comb((1, 2)), 0) == 0  # wrong letter
-    # non-comb skeleton of order >= 2
-    non_comb = graft(graft(DLEAF, 1, DLEAF), 1, graft(DLEAF, 1, DLEAF))
-    assert dict(c.part(3)).get(non_comb, 0) == 0
-    assert c.verify_growth(4)
+    ev = TreeEvaluator(_generic_signal())
+    for n in range(5):
+        assert np.array_equal(c.order_sum(ev, n), ev.values(left_comb((1,) * n)))
+    assert not np.any(c.order_sum(ev, 5))  # above order
+
+
+def _tree_by_tree(ev: TreeEvaluator, n: int, m: int, coeff: float = 1.0) -> np.ndarray:
+    """The per-tree reference: coeff times the sum of E over all trees of order n on x0..xm."""
+    return ev.weighted_sum((t, coeff) for t in enumerate_decorated_trees(n, m))
+
+
+def _assert_close(got: np.ndarray, want: np.ndarray, rtol: float = 1e-12) -> None:
+    assert float(stack_norm1(got - want).max()) <= rtol * float(stack_norm1(want).max())
 
 
 def test_full_support_series_growth():
-    c = full_support_series(2, K=1.5, M=0.5)
-    assert dict(c.part(2)).get(left_comb((1, 2)), 0) == Fraction(1.5) * Fraction(0.5) ** 2
-    assert c.verify_growth(4)
+    # the root-split sum equals K M^n times the tree-by-tree sum
+    K, M = 1.5, 0.5
+    ev = TreeEvaluator(_generic_signal())
+    for m in (0, 1, 2):
+        c = full_support_series(m, K=K, M=M)
+        for n in range(5):
+            _assert_close(c.order_sum(ev, n), _tree_by_tree(ev, n, m, K * M ** n))
 
 
 def test_finite_series_roundtrip():
     p = x(1) + prec(x(1), x(2)).scale(Fraction(-2))
     c = finite_series(p, 2)
-    assert dict(c.part(1)).get(graft(DLEAF, 1, DLEAF), 0) == 1
-    assert c.trees_of_order(5) == []
+    assert c.terms.get(graft(DLEAF, 1, DLEAF), 0) == 1
+    assert all(t.order < 5 for t in c.terms)
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_full_support_lists_every_tree_once(m):
     c = full_support_series(m)
+    ev = TreeEvaluator(_generic_signal())
     for n in range(4):
-        support = c.trees_of_order(n)
+        support = list(enumerate_decorated_trees(n, m))
         assert len(set(support)) == len(support) == catalan(n) * (m + 1) ** n
-    with pytest.raises(EnumerationCapError):
-        c.trees_of_order(9)
+        _assert_close(c.order_sum(ev, n), _tree_by_tree(ev, n, m))
+    # no order cap: order 12 evaluates, inside the certificate's majorant
+    u = constant_signal(np.full((2, 1, 1), 0.4), 0.25, 16)
+    out = evaluate_fliess(c, u, 12)
+    ratio = (m + 1) * convergence_certificate(c, u, 12).R
+    assert len(out.increments) == 13 and np.all(np.isfinite(out.values))
+    assert float(stack_norm1(out.increments[12]).max()) <= ratio ** 12
 
 
 def test_full_support_letter_above_alphabet_is_zero():
+    # x2 is outside full_support_series(1): only x0 and x1 trees contribute
     c = full_support_series(1, K=2.0)
-    assert dict(c.part(2)).get(left_comb((1, 0)), 0) == 2
-    assert dict(c.part(2)).get(left_comb((1, 2)), 0) == 0
+    ev = TreeEvaluator(_generic_signal(2))
+    for n in range(4):
+        _assert_close(c.order_sum(ev, n), _tree_by_tree(ev, n, 1, 2.0))
+    assert float(stack_norm1(c.order_sum(ev, 2) - _tree_by_tree(ev, 2, 2, 2.0)).max()) > 1e-3
+    # a series letter outside the signal's alphabet is an error
+    with pytest.raises(SignalError):
+        evaluate_fliess(full_support_series(2), _generic_signal(1), 1)
 
 
 def test_finite_series_matches_polynomial():
@@ -144,10 +177,49 @@ def test_certificate_diagnostic_outside_radius():
     assert cert.tail is None and "diverges" in cert.diagnostic
 
 
+def _riccati_rk4(u, m: int) -> np.ndarray:
+    """Y(T) of Y' = Y U Y, Y(0) = I, U = u_0 + ... + u_m, by classical RK4 on
+    the signal grid, with U linearly interpolated at the half steps."""
+    big_u = sum(u.channel(i) for i in range(m + 1))
+    half = 0.5 * (big_u[:-1] + big_u[1:])
+    h = u.h
+
+    def f(y, a):
+        return y @ a @ y
+
+    y = np.eye(u.dim)
+    for a1, a2, a4 in zip(big_u[:-1], half, big_u[1:]):
+        k1 = f(y, a1)
+        k2 = f(y + 0.5 * h * k1, a2)
+        k3 = f(y + 0.5 * h * k2, a2)
+        k4 = f(y + h * k3, a4)
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+@pytest.mark.parametrize("case", ["criterion-5 constant", "2-channel smooth"])
+def test_full_support_sum_solves_riccati(case):
+    # Y = sum_n M^n S_n solves Y' = M Y U Y (here M = 1), so the RK4 solve is
+    # the sum over all orders: it checks the partial sums, and the
+    # certificate's tail against the true tail
+    if case == "criterion-5 constant":
+        m, N = 1, 8
+        u = constant_signal(np.array([[0.8]]), 0.25, 1024)
+    else:
+        m, N = 2, 6
+        u = random_smooth_signal(np.random.default_rng(11), 2, 2, 0.25, 512,
+                                 amplitude=0.2)
+    c = full_support_series(m)
+    y = _riccati_rk4(u, m)
+    assert float(stack_norm1(y - evaluate_fliess(c, u, 40).at_horizon)) <= 1e-5
+    true_tail = float(stack_norm1(y - evaluate_fliess(c, u, N).at_horizon))
+    assert true_tail <= convergence_certificate(c, u, N).tail
+
+
 def test_certificate_covers_matrix_coefficients():
     # K follows the coefficient norm, so the tail bounds the observed increment
     c = finite_series({left_comb((1, 1)): 100 * np.eye(2)}, 1)
-    assert c.K == 100.0 and c.verify_growth()
+    assert c.K == 100.0
     u = constant_signal(np.eye(2), 0.1, 64)
     out = evaluate_fliess(c, u, 2)
     increment = float(stack_norm1(out.increments[2][-1]))
@@ -160,9 +232,9 @@ def test_finite_series_stores_read_only_copies():
     a = 2 * np.eye(2)
     c = finite_series({left_comb((1,)): a, left_comb((1, 1)): np.zeros((2, 2))}, 1)
     a[0, 0] = 100.0
-    [(_, stored)] = c.part(1)
+    [stored] = c.terms.values()
     assert c.K == 2.0 and stored[0, 0] == 2.0 and not stored.flags.writeable
-    assert c.part(2) == []  # the zero coefficient is dropped
+    assert left_comb((1, 1)) not in c.terms  # the zero coefficient is dropped
 
 
 def test_product_connection_accepts_rational_mapping():
@@ -172,8 +244,9 @@ def test_product_connection_accepts_rational_mapping():
 
 
 def test_dyson_order_cap():
-    assert dyson_series(DYSON_ORDER_CAP).trees_of_order(DYSON_ORDER_CAP) == [
-        left_comb((1,) * DYSON_ORDER_CAP)]
+    ev = TreeEvaluator(constant_signal(np.array([[0.5]]), 1.0, 8))
+    assert np.array_equal(dyson_series(DYSON_ORDER_CAP).order_sum(ev, DYSON_ORDER_CAP),
+                          ev.values(left_comb((1,) * DYSON_ORDER_CAP)))
     with pytest.raises(ValueError, match=str(DYSON_ORDER_CAP)):
         dyson_series(DYSON_ORDER_CAP + 1)
 

@@ -55,6 +55,12 @@ def test_signal_shape_validation():
         MatrixSignal(np.full((1, 5, 2, 2), np.inf), 1.0)
 
 
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+def test_signal_rejects_non_finite_horizon(horizon):
+    with pytest.raises(SignalError, match="horizon"):
+        MatrixSignal(np.zeros((1, 5, 2, 2)), horizon)
+
+
 def test_channel_zero_is_identity():
     u = constant_signal(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, 4)
     assert np.allclose(u.channel(0), np.eye(2))

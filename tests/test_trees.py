@@ -15,19 +15,16 @@ from dendrifliess.trees import (
     enumerate_trees,
     foliation,
     graft,
-    graft_skeletons,
     left_comb,
     left_comb_skeleton,
     parse_word,
     right_comb,
     right_comb_skeleton,
     skeleton,
-    skeleton_from_string,
     skeleton_string,
     tree_factorial,
     tree_from_json,
     tree_to_json,
-    word_to_str,
 )
 
 # standard Catalan values
@@ -63,9 +60,9 @@ def test_decorated_enumeration_count():
 
 
 def test_graft_orders():
-    t = graft_skeletons(LEAF, LEAF)
+    t = PlanarTree(LEAF, LEAF)
     assert t.order == 1
-    assert graft_skeletons(t, t).order == 3
+    assert PlanarTree(t, t).order == 3
 
 
 def test_decorate_foliation_roundtrip():
@@ -104,8 +101,8 @@ def test_tree_factorial_combs_are_factorial():
 def test_tree_factorial_balanced():
     # by hand: root with two single-vertex children has
     # gamma = (1 + 1 + 1) * 1 * 1 = 3
-    v = graft_skeletons(LEAF, LEAF)
-    assert tree_factorial(graft_skeletons(v, v)) == 3
+    v = PlanarTree(LEAF, LEAF)
+    assert tree_factorial(PlanarTree(v, v)) == 3
     assert tree_factorial(LEAF) == 1
 
 
@@ -122,9 +119,10 @@ def test_tree_factorial_sum_identity():
 
 
 def test_skeleton_string_roundtrip():
-    for n in range(6):
-        for s in enumerate_trees(n):
-            assert skeleton_from_string(skeleton_string(s)) == s
+    # the encoding is injective: the catalan(n) trees of order n have distinct strings
+    for n in range(9):
+        assert len({skeleton_string(s) for s in enumerate_trees(n)}) == catalan(n)
+    assert skeleton_string(PlanarTree(LEAF, LEAF)) == "()"
 
 
 def test_tree_json_roundtrip():
@@ -137,7 +135,6 @@ def test_tree_json_roundtrip():
 def test_parse_word():
     assert parse_word("x1x2x10") == (1, 2, 10)
     assert parse_word("") == ()
-    assert word_to_str((0, 3)) == "x0x3"
     with pytest.raises(ValueError):
         parse_word("x1y2")
     with pytest.raises(ValueError):
