@@ -50,9 +50,15 @@ def _parse_signal(spec: str, grid: int, horizon: float) -> signals.MatrixSignal:
     raise CliError(f"unknown signal spec {spec!r} ({SIGNAL_SPEC_HELP})")
 
 
+def _print_json(doc) -> None:
+    """One JSON document on stdout; a NaN or infinity raises ``ValueError``
+    (a JSON error), since JSON cannot hold it."""
+    print(json.dumps(doc, allow_nan=False))
+
+
 def _print_polynomial(p: algebra.TreePolynomial, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(p.to_json()))
+        _print_json(p.to_json())
     else:
         print(algebra.render_polynomial(p))
 
@@ -72,7 +78,7 @@ def _cmd_trees(args) -> int:
         else:
             records.append(trees.skeleton_string(skel))
     if args.json:
-        print(json.dumps({"order": args.order, "count": len(ts), "trees": records}))
+        _print_json({"order": args.order, "count": len(ts), "trees": records})
     else:
         for rec in records:
             print(rec)
@@ -146,10 +152,10 @@ def _cmd_fliess(args) -> int:
         payload = {"t": out.grid.tolist(), "values": out.values.tolist()}
         if cert is not None:
             payload["certificate"] = cert
-        print(json.dumps(payload))
+        _print_json(payload)
         return 0
     if cert is not None:
-        print(json.dumps(cert))
+        _print_json(cert)
     if args.out:
         integrals.EvaluationResult(out.grid, out.values).to_csv(args.out)
     else:
@@ -173,7 +179,7 @@ def _cmd_magnus(args) -> int:
         payload["rk4_T"] = ref[-1].tolist()
         payload["deviation"] = float(signals.stack_norm1(z[-1] - ref[-1]))
     if args.json:
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print(f"orientation: {payload['orientation']}")
         print(f"omega(T) =\n{omega.at_horizon}")
@@ -328,7 +334,7 @@ def _cmd_verify(args) -> int:
             for f in failures:
                 print(f"  {f}")
     if args.json:
-        print(json.dumps({"seed": args.seed, "results": all_failures}))
+        _print_json({"seed": args.seed, "results": all_failures})
     return 0 if not any(all_failures.values()) else 1
 
 

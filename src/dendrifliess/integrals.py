@@ -75,7 +75,7 @@ class EvaluationResult:
             "t": self.grid.tolist(),
             "values": self.values.tolist(),
             "scheme_order": self.scheme_order,
-        })
+        }, allow_nan=False)
 
 
 class TreeEvaluator:

@@ -284,7 +284,7 @@ class MagnusSeries:
     orientation: str
 
 
-MAGNUS_ORDER_CAP = 6
+MAGNUS_ORDER_CAP = 8
 
 
 def magnus_generating_series(order: int,

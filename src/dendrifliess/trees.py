@@ -1,14 +1,18 @@
 """Planar binary trees as a free magma, with decorations.
 
-Trees are immutable and hashable; the trivial tree (leaf) is the shared
-constants ``LEAF`` / ``DLEAF``.  Order counts interior vertices.  Decorated
-trees carry one alphabet letter (a non-negative int, 0 reserved for the
-drift channel) per interior vertex; the foliation reads them in in-order.
+Trees are immutable and hashable, and decorated trees are hash-consed (one
+object per tree); the trivial tree (leaf) is the shared constants ``LEAF`` /
+``DLEAF``.  Order counts interior vertices.  Decorated trees carry one
+alphabet letter (a non-negative int, 0 reserved for the drift channel) per
+interior vertex; the foliation reads them in in-order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -82,24 +86,73 @@ class PlanarTree:
         return f"PlanarTree({skeleton_string(self)!r})"
 
 
-@dataclass(frozen=True)
+#: every live ``DecoratedTree`` under the ids of its children and its letter;
+#: it holds the trees weakly, so a tree nobody else holds is freed as usual
+_INTERNED: "weakref.WeakValueDictionary[tuple, DecoratedTree]" = weakref.WeakValueDictionary()
+#: taken only to add a tree, so two threads cannot both build one triple
+_INTERN_LOCK = threading.RLock()
+
+
 class DecoratedTree:
-    """Planar binary tree with one letter per interior vertex."""
+    """Planar binary tree with one letter per interior vertex.
 
-    left: "DecoratedTree | None" = None
-    letter: int | None = None
-    right: "DecoratedTree | None" = None
-    order: int = field(default=0, compare=False, hash=False)
+    Trees are hash-consed: ``DecoratedTree(left, letter, right)`` returns the
+    live tree with those children and letter when there is one, so equal trees
+    are one object, ``==`` is ``is`` and the hash, computed once from the
+    children's, costs O(1) however deep the tree.  ``order`` is always counted
+    from the children; the argument is accepted for the positional form
+    ``DecoratedTree(left, letter, right, order)`` and otherwise ignored.
+    """
 
-    def __post_init__(self) -> None:
-        filled = (self.left is not None, self.letter is not None, self.right is not None)
+    __slots__ = ("left", "letter", "right", "order", "_hash", "__weakref__")
+
+    def __new__(cls, left: "DecoratedTree | None" = None, letter: int | None = None,
+                right: "DecoratedTree | None" = None, order: int | None = None):
+        if letter is not None and type(letter) is not int:
+            letter = operator.index(letter)  # one key per letter; floats are refused
+        # a live tree keeps its children alive, so their ids name them
+        key = (id(left), letter, id(right))
+        node = _INTERNED.get(key)
+        if node is not None:
+            return node
+        filled = (left is not None, letter is not None, right is not None)
         if any(filled) and not all(filled):
             raise TreeError("a decorated node needs left child, letter and right child")
-        if self.letter is not None:
-            if self.letter < 0:
-                raise AlphabetError(f"letter index must be >= 0, got {self.letter}")
-            assert self.left is not None and self.right is not None
-            object.__setattr__(self, "order", self.left.order + self.right.order + 1)
+        if letter is not None:
+            if letter < 0:
+                raise AlphabetError(f"letter index must be >= 0, got {letter}")
+            assert left is not None and right is not None
+        with _INTERN_LOCK:
+            node = _INTERNED.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                setattr_ = object.__setattr__
+                setattr_(node, "left", left)
+                setattr_(node, "letter", letter)
+                setattr_(node, "right", right)
+                setattr_(node, "order", 0 if letter is None else left.order + right.order + 1)
+                setattr_(node, "_hash", hash((left, letter, right)))
+                _INTERNED[key] = node
+        return node
+
+    def __init__(self, left=None, letter=None, right=None, order=None) -> None:
+        """Nothing to do: ``__new__`` builds or finds the node.  Defined in the
+        class body so that profilers can wrap construction by name."""
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"DecoratedTree is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"DecoratedTree is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return DecoratedTree, (self.left, self.letter, self.right)
 
     @property
     def is_leaf(self) -> bool:

@@ -221,15 +221,32 @@ def test_fliess_dyson_above_cap(capsys):
 
 @pytest.mark.parametrize("depth", [600, 3000])
 def test_fliess_deep_series_file(capsys, tmp_path, depth):
-    # a right comb of x1 written out as text, too deep to read recursively
+    # a right comb of x1 written out as text; at depth 3000 json.load itself
+    # recurses too deeply, at 600 the tree reads and the series evaluates
     tree = '{"l": ' * depth + "null" + ', "x": 1, "r": null}' * depth
     path = tmp_path / "deep.json"
     path.write_text('[{"coeff": "1", "tree": ' + tree + "}]")
     code, out, err = run(capsys, "--json", "fliess", "eval",
                          "--series", str(path), "--signal", "const:0.5",
                          "--order", "2", "--grid", "4")
+    if depth == 600:
+        assert code == 0 and err == ""
+        assert json.loads(out).keys() == {"t", "values"}
+    else:
+        assert code == 1 and out == ""
+        assert "nests too deeply" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fliess", "eval", "--series", "dyson:3", "--signal", "const:1e308", "--order", "3"],
+    ["eval", "tree", "--expr", "(x1<(x1<x1))", "--signal", "const:1e200"],
+], ids=["fliess", "eval"])
+def test_overflow_is_a_json_error(capsys, argv):
+    # the values overflow to NaN, which a JSON document cannot hold
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, "--json", *argv, "--grid", "4")
     assert code == 1 and out == ""
-    assert "nests too deeply" in json.loads(err)["error"]
+    assert "JSON" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("horizon", ["nan", "inf"])

@@ -290,8 +290,9 @@ def test_magnus_low_orders():
     assert s2.poly == x(1) + bracket.scale(Fraction(-1, 2))
 
 
-#: sha256 of the canonical JSON of ``poly.to_json()``, pinned from the
-#: earlier fixed-point implementation of the recursion
+#: sha256 of the canonical JSON of ``poly.to_json()``, pinned at orders 5-6
+#: from the earlier fixed-point implementation of the recursion and at orders
+#: 7-8 from the graded pass on trees that were not yet hash-consed
 MAGNUS_DIGESTS = {
     (5, "standard"): "0a625923725d5a1ab1c21d7e6c5f5b827899b44c69e2ed6b3df03a5d664c0805",
     (5, "literal"): "7c989be617ad358aa239dfc83aba774238d3a5055cfcbbb4666d5255c5abb429",
@@ -299,6 +300,12 @@ MAGNUS_DIGESTS = {
     (6, "standard"): "aea54754f37ede35475ce70f974e60aa8d735bd66052ce870dbf8da3ff342933",
     (6, "literal"): "0d76d0e668f8a77ff5e9dec1a9742383aa617be79fd4759e913ab204b3d151b3",
     (6, "reversed"): "e7a8c85b862c62243758046244685010b74e29a40251f1baaa366bebcf327d6c",
+    (7, "standard"): "5a390b9254d2202c19e53b2e9dcc9d3d276adb6da4237c3f3836f9b0838f53f1",
+    (7, "literal"): "4a67d2111973db3bfb579453271334a4af3258d3767bd353940abec77f6287ef",
+    (7, "reversed"): "e9a379c0993436a7166c413c7624302e36bf9a8132c287e0e46c2bf7f7555cd1",
+    (8, "standard"): "34cd55d31873eac544c3479ac60a0f85b575b5a6f4a3b0dfb49fe120654bed9b",
+    (8, "literal"): "71bef0a3f492db025436898e0ea3df13677222078d3194bac0058665264fddea",
+    (8, "reversed"): "7f5a9719a7181c3a27b6bf8969c1f7cb1cf3931d29424b8d0af619961d868237",
 }
 
 
@@ -307,7 +314,7 @@ def test_magnus_pinned_digests(order, orientation):
     series = magnus_generating_series(order, orientation)
     text = json.dumps(series.poly.to_json(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == MAGNUS_DIGESTS[order, orientation]
-    assert len(series.poly) == {5: 64, 6: 196}[order]
+    assert len(series.poly) == {5: 64, 6: 196, 7: 625, 8: 2055}[order]
     assert series.iterations == order
 
 
@@ -315,7 +322,7 @@ def test_magnus_order_validation():
     with pytest.raises(ValueError):
         magnus_generating_series(0)
     with pytest.raises(ValueError):
-        magnus_generating_series(7)
+        magnus_generating_series(9)
     with pytest.raises(ValueError):
         magnus_generating_series(2, orientation="sideways")
 

@@ -1,5 +1,12 @@
+import copy
+import gc
 import math
+import pickle
+import sys
+import threading
+import weakref
 
+import numpy as np
 import pytest
 
 from dendrifliess.trees import (
@@ -146,6 +153,67 @@ def test_tree_identity_semantics():
     b = graft(DLEAF, 1, DLEAF)
     assert a == b and hash(a) == hash(b)
     assert a != graft(DLEAF, 2, DLEAF)
+
+
+def test_equal_trees_are_one_object():
+    t = DecoratedTree(DLEAF, 1, DLEAF, 1)
+    assert t is graft(DLEAF, 1, DLEAF)
+    assert decorate((1, 2), left_comb_skeleton(2)) is left_comb((1, 2))
+    assert pickle.loads(pickle.dumps(t)) is t and copy.deepcopy(t) is t
+    u = graft(DLEAF, np.int64(1), DLEAF)
+    assert u is t and type(u.letter) is int
+    with pytest.raises(TypeError):
+        graft(DLEAF, 1.0, DLEAF)
+    with pytest.raises(AttributeError):
+        t.letter = 2
+
+
+def test_deep_comb_hashes_and_compares_without_recursion():
+    def comb(n):
+        t = DLEAF
+        for _ in range(n):
+            t = DecoratedTree(t, 1, DLEAF)
+        return t
+
+    a, b = comb(100_000), comb(100_000)
+    assert hash(a) == hash(b) and a == b and {a: "deep"}[b] == "deep"
+    assert a is b and a.order == 100_000
+
+
+def test_unreferenced_trees_are_freed():
+    t = graft(graft(DLEAF, 123_457, DLEAF), 123_456, DLEAF)
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
+    again = graft(graft(DLEAF, 123_457, DLEAF), 123_456, DLEAF)
+    assert again.order == 2 and foliation(again) == (123_457, 123_456)
+
+
+def test_threads_building_one_tree_get_one_object():
+    words = [(10_000 + k, 1) for k in range(2000)]  # letters no other test uses
+    results: list = [None] * 4
+
+    def build(slot):
+        results[slot] = [left_comb(w) for w in words]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and None not in results
+    assert all(a is b for r in results[1:] for a, b in zip(results[0], r))
+
+
+def test_tree_hooks_stay_in_the_class_body():
+    # bench/tracer.py wraps these by name to count construction, hashing and equality
+    assert {"__init__", "__hash__", "__eq__"} <= vars(DecoratedTree).keys()
 
 
 def test_planar_tree_equality_ignores_order_field():
