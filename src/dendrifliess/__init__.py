@@ -38,7 +38,6 @@ from .integrals import (
 from .operators import (
     BRACKET_ORIENTATIONS,
     Certificate,
-    FliessOutput,
     GeneratingSeries,
     MagnusSeries,
     bernoulli,

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .trees import (
     DLEAF,
@@ -243,7 +243,7 @@ class ParenthesisWord:
         return "".join(self.tokens)
 
 
-def _matching_brackets(tokens: list[str]) -> dict[int, int]:
+def _matching_brackets(tokens: Sequence[str]) -> dict[int, int]:
     stack: list[int] = []
     match: dict[int, int] = {}
     for i, tok in enumerate(tokens):
@@ -293,13 +293,14 @@ def delta_to_tree(pw: ParenthesisWord) -> DecoratedTree:
     three shapes map to grafting a leaf/subtree pair under the letter.
     """
     tokens = pw.tokens
+    match = _matching_brackets(tokens)
 
     def parse_range(lo: int, hi: int) -> DecoratedTree:
         if lo == hi:
             return DLEAF
         left = DLEAF
         if tokens[lo] == "[":
-            close = _find_close(lo, hi)
+            close = match[lo]
             left = parse_range(lo + 1, close)
             lo = close + 1
         if lo >= hi or not tokens[lo].startswith("x"):
@@ -308,22 +309,11 @@ def delta_to_tree(pw: ParenthesisWord) -> DecoratedTree:
         lo += 1
         right = DLEAF
         if lo < hi:
-            if tokens[lo] != "[" or _find_close(lo, hi) != hi - 1:
+            if tokens[lo] != "[" or match[lo] != hi - 1:
                 raise ParseError(f"malformed parenthesis word {''.join(tokens)!r}")
             right = parse_range(lo + 1, hi - 1)
             lo = hi
         return DecoratedTree(left, letter, right)
-
-    def _find_close(lo: int, hi: int) -> int:
-        depth = 0
-        for i in range(lo, hi):
-            if tokens[i] == "[":
-                depth += 1
-            elif tokens[i] == "]":
-                depth -= 1
-                if depth == 0:
-                    return i
-        raise ParseError("unbalanced '[' (condition i)", condition="i")
 
     return parse_range(0, len(tokens))
 

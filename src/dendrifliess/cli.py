@@ -9,6 +9,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import random
 import sys
@@ -19,6 +20,9 @@ import numpy as np
 from . import algebra, integrals, operators, signals, trees
 
 SIGNAL_SPEC_HELP = "signal spec: csv:<path> | const:<matrix like '0,1;-1,0'> | spin:<Bmag>,<schedule>"
+
+#: order of the trapezoid scheme behind every iterated integral (``eval --json``)
+SCHEME_ORDER = 2
 
 
 class CliError(Exception):
@@ -54,6 +58,40 @@ def _print_json(doc) -> None:
     """One JSON document on stdout; a NaN or infinity raises ``ValueError``
     (a JSON error), since JSON cannot hold it."""
     print(json.dumps(doc, allow_nan=False))
+
+
+def _write_csv(path: str, result: integrals.EvaluationResult) -> None:
+    n = result.values.shape[-1]
+    header = ["t"] + [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t, mat in zip(result.grid, result.values):
+            writer.writerow([repr(float(t))] + [repr(float(v)) for v in mat.ravel()])
+
+
+def _write_result(args, result: integrals.EvaluationResult, title: str,
+                  extra: dict, side: dict | None = None) -> None:
+    """The one output path of grid values (``eval tree``, ``fliess eval``).
+
+    ``--json`` without ``--out`` prints one document ``{"t", "values",
+    **extra}``.  Otherwise ``side``, if given, is printed as JSON, and the
+    values go to the ``--out`` CSV file or out as ``title`` and the value at
+    the horizon.  Values that are not finite are refused in every mode: JSON
+    cannot hold them, and CSV or text would pass an overflow on as data.
+    """
+    if args.json and not args.out:
+        _print_json({"t": result.grid.tolist(), "values": result.values.tolist(), **extra})
+        return
+    if not np.isfinite(result.values).all():
+        raise CliError("the values are not finite, so none are written")
+    if side is not None:
+        _print_json(side)
+    if args.out:
+        _write_csv(args.out, result)
+    else:
+        print(title)
+        print(result.at_horizon)
 
 
 def _print_polynomial(p: algebra.TreePolynomial, as_json: bool) -> None:
@@ -107,14 +145,8 @@ def _cmd_algebra(args) -> int:
 def _cmd_eval(args) -> int:
     p = algebra.parse_dendriform_expr(args.expr)
     u = _parse_signal(args.signal, args.grid, args.horizon)
-    result = integrals.evaluate_polynomial(p, u)
-    if args.out:
-        result.to_csv(args.out)
-    elif args.json:
-        print(result.to_json())
-    else:
-        print(f"value at horizon t = {u.horizon}:")
-        print(result.at_horizon)
+    _write_result(args, integrals.evaluate_polynomial(p, u),
+                  f"value at horizon t = {u.horizon}:", {"scheme_order": SCHEME_ORDER})
     return 0
 
 
@@ -148,18 +180,7 @@ def _cmd_fliess(args) -> int:
     u = _parse_signal(args.signal, args.grid, args.horizon)
     out = operators.evaluate_fliess(series, u, args.order)
     cert = _certificate(series, u, args.order) if args.certificate else None
-    if args.json and not args.out:
-        payload = {"t": out.grid.tolist(), "values": out.values.tolist()}
-        if cert is not None:
-            payload["certificate"] = cert
-        _print_json(payload)
-        return 0
-    if cert is not None:
-        _print_json(cert)
-    if args.out:
-        integrals.EvaluationResult(out.grid, out.values).to_csv(args.out)
-    else:
-        print(f"y(T) =\n{out.at_horizon}")
+    _write_result(args, out, "y(T) =", {} if cert is None else {"certificate": cert}, cert)
     return 0
 
 
@@ -411,7 +432,10 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite result is refused on output, so numpy's overflow
+        # warnings would only put text ahead of the error (or the JSON error)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         if getattr(args, "json", False):
             print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -13,12 +13,10 @@ evaluates no tree by itself.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,31 +49,17 @@ Coefficient = Fraction | np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class EvaluationResult:
-    """Values of an iterated integral (or polynomial thereof) on the grid."""
+    """Values on the grid of an iterated integral, a polynomial of them or a
+    truncated operator series; ``increments`` holds a series' per-order
+    terms (orders 0..N, summing to ``values``) and is empty otherwise."""
 
     grid: np.ndarray
     values: np.ndarray  # (N+1, n, n)
-    scheme_order: int = 2
+    increments: Sequence[np.ndarray] = ()
 
     @property
     def at_horizon(self) -> np.ndarray:
         return self.values[-1]
-
-    def to_csv(self, path: str) -> None:
-        n = self.values.shape[-1]
-        header = ["t"] + [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for t, mat in zip(self.grid, self.values):
-                writer.writerow([repr(float(t))] + [repr(float(v)) for v in mat.ravel()])
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "t": self.grid.tolist(),
-            "values": self.values.tolist(),
-            "scheme_order": self.scheme_order,
-        }, allow_nan=False)
 
 
 class TreeEvaluator:

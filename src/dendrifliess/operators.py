@@ -37,7 +37,6 @@ from .trees import DLEAF, DecoratedTree, canonical_key, graft, left_comb, tree_f
 
 __all__ = [
     "GeneratingSeries",
-    "FliessOutput",
     "Certificate",
     "MagnusSeries",
     "evaluate_fliess",
@@ -83,27 +82,14 @@ class GeneratingSeries:
     terms: Mapping[DecoratedTree, Coefficient] | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class FliessOutput:
-    """Truncated operator output with per-order increments."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    truncation_order: int
-    increments: list[np.ndarray]
-
-    @property
-    def at_horizon(self) -> np.ndarray:
-        return self.values[-1]
-
-
-def evaluate_fliess(c: GeneratingSeries, u: MatrixSignal, order: int) -> FliessOutput:
-    """Sum coefficient-weighted iterated integrals over orders 0..order."""
+def evaluate_fliess(c: GeneratingSeries, u: MatrixSignal, order: int) -> EvaluationResult:
+    """Sum coefficient-weighted iterated integrals over orders 0..order; the
+    result's ``increments`` are the order-by-order sums."""
     if order < 0:
         raise ValueError(f"truncation order must be >= 0, got {order}")
     ev = TreeEvaluator(u)
     increments = [c.order_sum(ev, n) for n in range(order + 1)]
-    return FliessOutput(u.grid, sum(increments[1:], increments[0]), order, increments)
+    return EvaluationResult(u.grid, sum(increments[1:], increments[0]), increments)
 
 
 @dataclass(frozen=True)

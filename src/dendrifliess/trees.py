@@ -262,18 +262,18 @@ def left_comb(word: Sequence[int]) -> DecoratedTree:
     This orientation makes the iterated integral over a left comb coincide
     with the classical recursion E_{x_i eta'} = int u_i E_{eta'}.
     """
-    word = tuple(word)
-    if not word:
-        return DLEAF
-    return DecoratedTree(DLEAF, word[0], left_comb(word[1:]))
+    t = DLEAF
+    for letter in reversed(tuple(word)):
+        t = DecoratedTree(DLEAF, letter, t)
+    return t
 
 
 def right_comb(word: Sequence[int]) -> DecoratedTree:
     """Right-comb tree on ``word``; the last letter sits at the root."""
-    word = tuple(word)
-    if not word:
-        return DLEAF
-    return DecoratedTree(right_comb(word[:-1]), word[-1], DLEAF)
+    t = DLEAF
+    for letter in word:
+        t = DecoratedTree(t, letter, DLEAF)
+    return t
 
 
 def left_comb_skeleton(n: int) -> PlanarTree:

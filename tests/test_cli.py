@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -247,6 +250,30 @@ def test_overflow_is_a_json_error(capsys, argv):
         code, out, err = run(capsys, "--json", *argv, "--grid", "4")
     assert code == 1 and out == ""
     assert "JSON" in json.loads(err)["error"]
+
+
+def test_json_stderr_is_one_document_on_overflow():
+    # a separate process, so stderr holds whatever numpy would print there
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dendrifliess.cli", "--json", "fliess", "eval",
+         "--series", "dyson:3", "--signal", "const:1e308", "--order", "3", "--grid", "4"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "JSON" in json.loads(proc.stderr)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fliess", "eval", "--series", "dyson:3", "--signal", "const:1e308", "--order", "3"],
+    ["eval", "tree", "--expr", "(x1<(x1<x1))", "--signal", "const:1e200", "--out"],
+], ids=["fliess-text", "eval-csv"])
+def test_overflow_is_refused_without_json(capsys, tmp_path, argv):
+    path = tmp_path / "y.csv"
+    if argv[-1] == "--out":
+        argv = argv + [str(path)]
+    code, out, err = run(capsys, *argv, "--grid", "4")
+    assert code == 1 and out == "" and not path.exists()
+    assert err.startswith("error: ") and "not finite" in err
 
 
 @pytest.mark.parametrize("horizon", ["nan", "inf"])

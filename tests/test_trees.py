@@ -180,6 +180,18 @@ def test_deep_comb_hashes_and_compares_without_recursion():
     assert a is b and a.order == 100_000
 
 
+def test_long_combs_build_in_a_loop():
+    n = 100_000
+    word = tuple(1 + k % 3 for k in range(n))
+    left = right = DLEAF
+    for a, b in zip(reversed(word), word):
+        left = graft(DLEAF, a, left)
+        right = graft(right, b, DLEAF)
+    lc, rc = left_comb(word), right_comb(word)
+    assert lc is left and lc.order == n
+    assert rc is right and rc.order == n
+
+
 def test_unreferenced_trees_are_freed():
     t = graft(graft(DLEAF, 123_457, DLEAF), 123_456, DLEAF)
     ref = weakref.ref(t)
