@@ -21,6 +21,7 @@ from typing import Iterator, Mapping, Sequence
 from .trees import (
     DLEAF,
     DecoratedTree,
+    _tour,
     canonical_key,
     decorate,
     enumerate_trees,
@@ -294,28 +295,30 @@ def delta_to_tree(pw: ParenthesisWord) -> DecoratedTree:
     """
     tokens = pw.tokens
     match = _matching_brackets(tokens)
-
-    def parse_range(lo: int, hi: int) -> DecoratedTree:
-        if lo == hi:
-            return DLEAF
-        left = DLEAF
-        if tokens[lo] == "[":
-            close = match[lo]
-            left = parse_range(lo + 1, close)
-            lo = close + 1
-        if lo >= hi or not tokens[lo].startswith("x"):
-            raise ParseError(f"expected a letter in {''.join(tokens)!r}")
-        letter = int(tokens[lo][1:])
-        lo += 1
-        right = DLEAF
-        if lo < hi:
-            if tokens[lo] != "[" or match[lo] != hi - 1:
+    out: list = []  # left subtree, letter, right subtree of each open word
+    # (stage, lo, hi): 0 reads tokens[lo:hi] up to its letter, 1 reads the
+    # letter at lo and the right group, 2 grafts
+    todo = [(0, 0, len(tokens))]
+    while todo:
+        stage, lo, hi = todo.pop()
+        if stage == 2:
+            right, letter = out.pop(), out.pop()
+            out[-1] = DecoratedTree(out[-1], letter, right)
+        elif stage == 1:
+            if lo >= hi or not tokens[lo].startswith("x"):
+                raise ParseError(f"expected a letter in {''.join(tokens)!r}")
+            out.append(int(tokens[lo][1:]))
+            lo += 1
+            if lo < hi and (tokens[lo] != "[" or match[lo] != hi - 1):
                 raise ParseError(f"malformed parenthesis word {''.join(tokens)!r}")
-            right = parse_range(lo + 1, hi - 1)
-            lo = hi
-        return DecoratedTree(left, letter, right)
-
-    return parse_range(0, len(tokens))
+            todo += ((2, lo, hi), (0, lo + 1, hi - 1) if lo < hi else (0, hi, hi))
+        elif lo == hi:
+            out.append(DLEAF)
+        elif tokens[lo] == "[":
+            todo += ((1, match[lo] + 1, hi), (0, lo + 1, match[lo]))
+        else:
+            todo += ((1, lo, hi), (0, lo, lo))
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +407,24 @@ def parse_dendriform_expr(text: str) -> TreePolynomial:
 
 
 def render_tree_expr(t: DecoratedTree) -> str:
-    """Fully parenthesized '<' / '>' rendering of one tree; '1' for the leaf."""
+    """Fully parenthesized '<' / '>' rendering of one tree; '1' for the leaf.
+    A vertex reads ``((l>x)<r)`` (the left-associated reading of l > x < r),
+    less a leaf child's side and parenthesis: ``(x<r)``, ``(l>x)`` or ``x``."""
     if t.is_leaf:
         return "1"
-    assert t.left is not None and t.right is not None
-    root = f"x{t.letter}"
-    if t.left.is_leaf and t.right.is_leaf:
-        return root
-    if t.left.is_leaf:
-        return f"({root}<{render_tree_expr(t.right)})"
-    if t.right.is_leaf:
-        return f"({render_tree_expr(t.left)}>{root})"
-    # left-associated choice of the two equal readings of l > x < r
-    return f"(({render_tree_expr(t.left)}>{root})<{render_tree_expr(t.right)})"
+    parts: list[str] = []
+    for v, stage in _tour(t):
+        if v.is_leaf:
+            continue
+        inner_left, inner_right = not v.left.is_leaf, not v.right.is_leaf
+        if stage == 0:
+            parts.append("(" * (inner_left + inner_right))
+        elif stage == 1:
+            parts.append(f">x{v.letter})" if inner_left else f"x{v.letter}")
+            parts.append("<" * inner_right)
+        else:
+            parts.append(")" * inner_right)
+    return "".join(parts)
 
 
 def render_polynomial(p: TreePolynomial) -> str:

@@ -154,16 +154,13 @@ def _load_series(spec: str) -> operators.GeneratingSeries:
     """``dyson:<N>``, or a JSON file with ``{"rule": "dyson:<N>"}`` or a list
     of ``{coeff, tree}`` records."""
     if not spec.startswith("dyson:"):
-        try:
-            with open(spec) as fh:
-                data = json.load(fh)
-            rule = data.get("rule") if isinstance(data, dict) else None
-            if not (isinstance(rule, str) and rule.startswith("dyson:")):
-                terms = operators.terms_from_json(data)
-                m = max((max(trees.foliation(t), default=0) for t in terms), default=1)
-                return operators.finite_series(terms, max(m, 1))
-        except RecursionError as exc:
-            raise CliError(f"series file {spec} nests too deeply to read") from exc
+        with open(spec) as fh:
+            data = json.load(fh)
+        rule = data.get("rule") if isinstance(data, dict) else None
+        if not (isinstance(rule, str) and rule.startswith("dyson:")):
+            terms = operators.terms_from_json(data)
+            m = max((max(trees.foliation(t), default=0) for t in terms), default=1)
+            return operators.finite_series(terms, max(m, 1))
         spec = rule
     return operators.dyson_series(int(spec.split(":", 1)[1]))
 
@@ -252,10 +249,9 @@ def _verify_catalan(seed: int) -> list[str]:
             failures.append(f"count mismatch at order {n}")
     for n in range(9):
         import math
-        if trees.tree_factorial(trees.left_comb_skeleton(n)) != math.factorial(n):
-            failures.append(f"left comb factorial at order {n}")
-        if trees.tree_factorial(trees.right_comb_skeleton(n)) != math.factorial(n):
-            failures.append(f"right comb factorial at order {n}")
+        for side, comb in (("left", trees.left_comb), ("right", trees.right_comb)):
+            if trees.tree_factorial(trees.skeleton(comb((1,) * n))) != math.factorial(n):
+                failures.append(f"{side} comb factorial at order {n}")
     return failures
 
 
@@ -436,11 +432,14 @@ def run(argv: list[str] | None = None) -> int:
         # warnings would only put text ahead of the error (or the JSON error)
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, RecursionError) as exc:
+        # the JSON reader, the --expr parser and the tree products recurse per level
+        message = "the input nests too deeply to read" \
+            if isinstance(exc, RecursionError) else str(exc)
         if getattr(args, "json", False):
-            print(json.dumps({"error": str(exc)}), file=sys.stderr)
+            print(json.dumps({"error": message}), file=sys.stderr)
         else:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -29,7 +29,7 @@ from .signals import (
     ubar,
     ubar_integrals,
 )
-from .trees import DecoratedTree, Word, foliation, left_comb, skeleton, tree_factorial
+from .trees import DLEAF, DecoratedTree, Word, _tour, foliation, left_comb, tree_factorial
 
 __all__ = [
     "EvaluationResult",
@@ -69,33 +69,29 @@ class TreeEvaluator:
         self.u = u
         self._eye = np.broadcast_to(
             np.eye(u.dim), (u.num_steps + 1, u.dim, u.dim))
-        self._cache: dict[DecoratedTree, np.ndarray] = {}
+        self._cache: dict[DecoratedTree, np.ndarray] = {DLEAF: self._eye}
         self._sums: dict[int, list[np.ndarray]] = {}
 
     def values(self, t: DecoratedTree) -> np.ndarray:
-        if t.is_leaf:
-            return self._eye
-        cached = self._cache.get(t)
-        if cached is not None:
-            return cached
-        assert t.left is not None and t.right is not None and t.letter is not None
-        if t.letter > self.u.m:
-            raise SignalError(
-                f"tree letter x{t.letter} outside signal alphabet x0..x{self.u.m}")
-        left = self.values(t.left)
-        right = self.values(t.right)
-        ch = self.u.channel(t.letter)
-        if t.left.is_leaf and t.right.is_leaf:
-            integrand = ch
-        elif t.left.is_leaf:
-            integrand = ch @ right
-        elif t.right.is_leaf:
-            integrand = left @ ch
-        else:
-            integrand = left @ ch @ right
-        out = trapezoid_prefix(integrand, self.u.h)
-        self._cache[t] = out
-        return out
+        cache, u = self._cache, self.u
+        out: list[np.ndarray] = []  # values of the finished subtrees, innermost last
+        for v, stage in _tour(t, cache):
+            if stage == 0:
+                known = cache.get(v)
+                if known is not None:
+                    out.append(known)
+                elif v.letter > u.m:
+                    raise SignalError(
+                        f"tree letter x{v.letter} outside signal alphabet x0..x{u.m}")
+            elif stage == 2:
+                right = out.pop()
+                integrand = u.channel(v.letter)
+                if not v.left.is_leaf:
+                    integrand = out[-1] @ integrand
+                if not v.right.is_leaf:
+                    integrand = integrand @ right
+                out[-1] = cache[v] = trapezoid_prefix(integrand, u.h)
+        return out[0]
 
     def weighted_sum(self, pairs: Iterable[tuple[DecoratedTree, Coefficient]]) -> np.ndarray:
         """Sum of ``coeff * E_tree`` over the pairs; a matrix coefficient acts by
@@ -157,7 +153,7 @@ def bound_tree_factorial(t: DecoratedTree, u: MatrixSignal) -> float:
         big_u = u.horizon
     else:
         big_u = float(ubar_integrals(u)[i - 1, -1])
-    return big_u ** t.order / tree_factorial(skeleton(t))
+    return big_u ** t.order / tree_factorial(t)
 
 
 def bound_left_comb(word: Word, u: MatrixSignal) -> float:

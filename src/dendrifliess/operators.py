@@ -128,8 +128,8 @@ def convergence_certificate(c: GeneratingSeries, u: MatrixSignal,
     return Certificate(c.K, c.M, c.m, R, radius, tail, order, diagnostic)
 
 
-#: highest Dyson order; trees are walked recursively, so far deeper combs
-#: would exhaust the interpreter's recursion limit
+#: highest Dyson order; an evaluation keeps the value of every comb up to the
+#: order, one (grid, n, n) stack per order, so the order bounds that memory
 DYSON_ORDER_CAP = 256
 
 

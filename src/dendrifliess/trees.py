@@ -36,8 +36,6 @@ __all__ = [
     "enumerate_decorated_trees",
     "left_comb",
     "right_comb",
-    "left_comb_skeleton",
-    "right_comb_skeleton",
     "tree_factorial",
     "canonical_key",
     "skeleton_string",
@@ -173,20 +171,45 @@ def graft(left: DecoratedTree, letter: int, right: DecoratedTree) -> DecoratedTr
     return DecoratedTree(left, letter, right)
 
 
+def _tour(t, known=()):
+    """Depth-first tour of ``t`` on an explicit stack (no frame per level):
+    ``(v, 0)`` on the way down, ``(v, 1)`` at v's in-order place and ``(v, 2)``
+    on the way up.  A leaf, or a subtree in ``known`` when the tour reaches it,
+    comes once as ``(v, 0)`` and is not entered.  Only a non-empty ``known``
+    hashes vertices (a ``PlanarTree`` hashes recursively)."""
+    stack = [(t, 0)]
+    while stack:
+        step = stack.pop()
+        yield step
+        v, stage = step
+        if stage == 0:
+            if v.left is None or (known and v in known):
+                continue
+            stack += ((v, 1), (v.left, 0))
+        elif stage == 1:
+            stack += ((v, 2), (v.right, 0))
+
+
+def _fold(t, leaf, node):
+    """``node(v, fold(v.left), fold(v.right))`` bottom-up, ``leaf`` at leaves."""
+    out = []
+    for v, stage in _tour(t):
+        if v.left is None:
+            out.append(leaf)
+        elif stage == 2:
+            right = out.pop()
+            out[-1] = node(v, out[-1], right)
+    return out[0]
+
+
 def skeleton(t: DecoratedTree) -> PlanarTree:
     """Erase decorations."""
-    if t.is_leaf:
-        return LEAF
-    assert t.left is not None and t.right is not None
-    return PlanarTree(skeleton(t.left), skeleton(t.right))
+    return _fold(t, LEAF, lambda v, left, right: PlanarTree(left, right))
 
 
 def foliation(t: DecoratedTree) -> Word:
     """In-order read of the interior-vertex letters."""
-    if t.is_leaf:
-        return ()
-    assert t.left is not None and t.right is not None and t.letter is not None
-    return foliation(t.left) + (t.letter,) + foliation(t.right)
+    return tuple(v.letter for v, stage in _tour(t) if stage == 1)
 
 
 def decorate(word: Sequence[int], skel: PlanarTree) -> DecoratedTree:
@@ -199,17 +222,17 @@ def decorate(word: Sequence[int], skel: PlanarTree) -> DecoratedTree:
     if len(word) != skel.order:
         raise TreeError(
             f"word length {len(word)} != tree order {skel.order}")
-
-    def rec(s: PlanarTree, lo: int) -> DecoratedTree:
-        if s.is_leaf:
-            return DLEAF
-        assert s.left is not None and s.right is not None
-        left = rec(s.left, lo)
-        root = lo + s.left.order
-        right = rec(s.right, root + 1)
-        return DecoratedTree(left, word[root], right)
-
-    return rec(skel, 0)
+    letters = iter(word)
+    out: list = []  # left subtree, letter, right subtree of each open vertex
+    for v, stage in _tour(skel):
+        if v.left is None:
+            out.append(DLEAF)
+        elif stage == 1:
+            out.append(next(letters))
+        elif stage == 2:
+            right, letter = out.pop(), out.pop()
+            out[-1] = DecoratedTree(out[-1], letter, right)
+    return out[0]
 
 
 def catalan(n: int) -> int:
@@ -276,60 +299,49 @@ def right_comb(word: Sequence[int]) -> DecoratedTree:
     return t
 
 
-def left_comb_skeleton(n: int) -> PlanarTree:
-    t = LEAF
-    for _ in range(n):
-        t = PlanarTree(LEAF, t)
-    return t
-
-
-def right_comb_skeleton(n: int) -> PlanarTree:
-    t = LEAF
-    for _ in range(n):
-        t = PlanarTree(t, LEAF)
-    return t
-
-
 def tree_factorial(t: PlanarTree | DecoratedTree) -> int:
-    """Recursive tree factorial; equals n! on combs.
-
-    The unit value on the leaf is 1 (the multiplicative unit), which is what
-    makes gamma(comb of order n) = n! come out of the recursion.
-    """
-    if t.is_leaf:
-        return 1
-    assert t.left is not None and t.right is not None
-    return (t.left.order + t.right.order + 1) * tree_factorial(t.left) * tree_factorial(t.right)
+    """Tree factorial: the product over interior vertices of the order of the
+    subtree rooted there; 1 on the leaf, and n! on combs of order n."""
+    factors = [v.order for v, stage in _tour(t) if stage == 1]
+    while len(factors) > 1:  # pairwise, so a comb's n! is not built one small factor at a time
+        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return math.prod(factors)
 
 
-def canonical_key(t: DecoratedTree):
-    """Sort key realizing the canonical order on decorated trees."""
-    if t.is_leaf:
-        return (0,)
-    assert t.left is not None and t.right is not None and t.letter is not None
-    return (t.order, canonical_key(t.left), t.letter, canonical_key(t.right))
+def canonical_key(t: DecoratedTree) -> tuple[int, ...]:
+    """Sort key of the canonical order: (order, key(left), letter, key(right))
+    read flat in pre-order, (0,) for the leaf.  A key of order n has 3n + 1
+    entries, so flat keys sort as nested ones would, without recursing."""
+    return tuple(v.letter if stage == 1 else v.order for v, stage in _tour(t) if stage < 2)
 
 
 def skeleton_string(t: PlanarTree) -> str:
     """Balanced-parenthesis encoding: leaf -> '', node -> skel(l) + '(' + skel(r) + ')'."""
-    if t.is_leaf:
-        return ""
-    assert t.left is not None and t.right is not None
-    return skeleton_string(t.left) + "(" + skeleton_string(t.right) + ")"
+    return "".join("(" if stage == 1 else ")" for _, stage in _tour(t) if stage)
 
 
 def tree_to_json(t: DecoratedTree) -> dict | None:
     """JSON form {"l": ..., "x": i, "r": ...}; leaf -> null."""
-    if t.is_leaf:
-        return None
-    assert t.left is not None and t.right is not None
-    return {"l": tree_to_json(t.left), "x": t.letter, "r": tree_to_json(t.right)}
+    return _fold(t, None, lambda v, left, right: {"l": left, "x": v.letter, "r": right})
 
 
 def tree_from_json(obj: dict | None) -> DecoratedTree:
-    if obj is None:
-        return DLEAF
-    return DecoratedTree(tree_from_json(obj["l"]), int(obj["x"]), tree_from_json(obj["r"]))
+    """The tree of a :func:`tree_to_json` form, read on an explicit stack."""
+    out: list = []  # left subtree, letter, right subtree of each open node
+    todo = [(obj, 0)]
+    while todo:
+        o, stage = todo.pop()
+        if o is None:
+            out.append(DLEAF)
+        elif stage == 0:
+            todo += ((o, 1), (o["l"], 0))
+        elif stage == 1:
+            out.append(int(o["x"]))
+            todo += ((o, 2), (o["r"], 0))
+        else:
+            right, letter = out.pop(), out.pop()
+            out[-1] = DecoratedTree(out[-1], letter, right)
+    return out[0]
 
 
 def parse_word(text: str) -> Word:

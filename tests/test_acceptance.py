@@ -51,8 +51,9 @@ from dendrifliess.trees import (
     decorate,
     enumerate_trees,
     graft,
-    left_comb_skeleton,
-    right_comb_skeleton,
+    left_comb,
+    right_comb,
+    skeleton,
     tree_factorial,
 )
 
@@ -91,8 +92,8 @@ def test_criterion_1_combinatorics():
         assert len(enumerate_trees(n)) == catalan(n)
     assert catalan(12) == 208012
     for n in range(9):
-        assert tree_factorial(left_comb_skeleton(n)) == math.factorial(n)
-        assert tree_factorial(right_comb_skeleton(n)) == math.factorial(n)
+        assert tree_factorial(skeleton(left_comb((1,) * n))) == math.factorial(n)
+        assert tree_factorial(skeleton(right_comb((1,) * n))) == math.factorial(n)
     print("criterion 1 (combinatorics, exact): PASS")
 
 

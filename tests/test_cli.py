@@ -240,6 +240,17 @@ def test_fliess_deep_series_file(capsys, tmp_path, depth):
         assert "nests too deeply" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_deeply_nested_expr_is_a_clean_error(capsys, as_json):
+    # the --expr parser recurses three frames per nested product
+    expr = "(x1<" * 400 + "x1" + ")" * 400
+    code, out, err = run(capsys, *(["--json"] if as_json else []), "eval", "tree",
+                         "--expr", expr, "--signal", "const:0.1", "--grid", "4")
+    assert code == 1 and out == ""
+    want = "the input nests too deeply to read"
+    assert (json.loads(err) == {"error": want}) if as_json else err == f"error: {want}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["fliess", "eval", "--series", "dyson:3", "--signal", "const:1e308", "--order", "3"],
     ["eval", "tree", "--expr", "(x1<(x1<x1))", "--signal", "const:1e200"],

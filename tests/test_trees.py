@@ -23,10 +23,8 @@ from dendrifliess.trees import (
     foliation,
     graft,
     left_comb,
-    left_comb_skeleton,
     parse_word,
     right_comb,
-    right_comb_skeleton,
     skeleton,
     skeleton_string,
     tree_factorial,
@@ -101,8 +99,8 @@ def test_combs():
 
 def test_tree_factorial_combs_are_factorial():
     for n in range(9):
-        assert tree_factorial(left_comb_skeleton(n)) == math.factorial(n)
-        assert tree_factorial(right_comb_skeleton(n)) == math.factorial(n)
+        assert tree_factorial(skeleton(left_comb((1,) * n))) == math.factorial(n)
+        assert tree_factorial(skeleton(right_comb((1,) * n))) == math.factorial(n)
 
 
 def test_tree_factorial_balanced():
@@ -158,7 +156,7 @@ def test_tree_identity_semantics():
 def test_equal_trees_are_one_object():
     t = DecoratedTree(DLEAF, 1, DLEAF, 1)
     assert t is graft(DLEAF, 1, DLEAF)
-    assert decorate((1, 2), left_comb_skeleton(2)) is left_comb((1, 2))
+    assert decorate((1, 2), skeleton(left_comb((1, 1)))) is left_comb((1, 2))
     assert pickle.loads(pickle.dumps(t)) is t and copy.deepcopy(t) is t
     u = graft(DLEAF, np.int64(1), DLEAF)
     assert u is t and type(u.letter) is int

@@ -1,0 +1,243 @@
+"""Tree walks: every walk equals its recursive definition, handles deep trees,
+and no function in the package calls itself by name."""
+
+import ast
+import math
+import pathlib
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dendrifliess.algebra import (
+    ParenthesisWord,
+    delta_to_tree,
+    parse_parenthesis_word,
+    render_tree_expr,
+)
+from dendrifliess.integrals import TreeEvaluator
+from dendrifliess.signals import random_smooth_signal, trapezoid_prefix
+from dendrifliess.trees import (
+    DLEAF,
+    LEAF,
+    DecoratedTree,
+    PlanarTree,
+    canonical_key,
+    decorate,
+    enumerate_trees,
+    foliation,
+    left_comb,
+    right_comb,
+    skeleton,
+    skeleton_string,
+    tree_factorial,
+    tree_from_json,
+    tree_to_json,
+)
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dendrifliess"
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the recursive definitions, one frame per level
+
+def ref_skeleton(t):
+    return LEAF if t.is_leaf else PlanarTree(ref_skeleton(t.left), ref_skeleton(t.right))
+
+
+def ref_foliation(t):
+    return () if t.is_leaf else ref_foliation(t.left) + (t.letter,) + ref_foliation(t.right)
+
+
+def ref_decorate(word, skel):
+    def rec(s, lo):
+        if s.is_leaf:
+            return DLEAF
+        root = lo + s.left.order
+        return DecoratedTree(rec(s.left, lo), word[root], rec(s.right, root + 1))
+
+    return rec(skel, 0)
+
+
+def ref_tree_factorial(t):
+    if t.is_leaf:
+        return 1
+    return t.order * ref_tree_factorial(t.left) * ref_tree_factorial(t.right)
+
+
+def ref_nested_key(t):
+    if t.is_leaf:
+        return (0,)
+    return (t.order, ref_nested_key(t.left), t.letter, ref_nested_key(t.right))
+
+
+def ref_skeleton_string(s):
+    return "" if s.is_leaf else ref_skeleton_string(s.left) + "(" + ref_skeleton_string(s.right) + ")"
+
+
+def ref_tree_to_json(t):
+    if t.is_leaf:
+        return None
+    return {"l": ref_tree_to_json(t.left), "x": t.letter, "r": ref_tree_to_json(t.right)}
+
+
+def ref_tree_from_json(obj):
+    if obj is None:
+        return DLEAF
+    return DecoratedTree(ref_tree_from_json(obj["l"]), int(obj["x"]), ref_tree_from_json(obj["r"]))
+
+
+def ref_render(t):
+    if t.is_leaf:
+        return "1"
+    root = f"x{t.letter}"
+    if t.left.is_leaf and t.right.is_leaf:
+        return root
+    if t.left.is_leaf:
+        return f"({root}<{ref_render(t.right)})"
+    if t.right.is_leaf:
+        return f"({ref_render(t.left)}>{root})"
+    return f"(({ref_render(t.left)}>{root})<{ref_render(t.right)})"
+
+
+def ref_word_tokens(t):
+    """A parenthesis word of ``t``: [left] letter [right], empty groups dropped."""
+    if t.is_leaf:
+        return []
+    left = ["[", *ref_word_tokens(t.left), "]"] if not t.left.is_leaf else []
+    right = ["[", *ref_word_tokens(t.right), "]"] if not t.right.is_leaf else []
+    return left + [f"x{t.letter}"] + right
+
+
+def ref_values(t, u):
+    eye = np.broadcast_to(np.eye(u.dim), (u.num_steps + 1, u.dim, u.dim))
+
+    def rec(s):
+        if s.is_leaf:
+            return eye
+        left, right, ch = rec(s.left), rec(s.right), u.channel(s.letter)
+        if s.left.is_leaf and s.right.is_leaf:
+            integrand = ch
+        elif s.left.is_leaf:
+            integrand = ch @ right
+        elif s.right.is_leaf:
+            integrand = left @ ch
+        else:
+            integrand = left @ ch @ right
+        return trapezoid_prefix(integrand, u.h)
+
+    return rec(t)
+
+
+# ---------------------------------------------------------------------------
+# every walk equals its reference on random trees
+
+WALK_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+U = random_smooth_signal(np.random.default_rng(9), 3, 2, 0.5, 16)
+
+
+@st.composite
+def trees_up_to_8(draw):
+    n = draw(st.integers(0, 8))
+    skel = draw(st.sampled_from(enumerate_trees(n)))
+    return decorate(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), skel)
+
+
+@WALK_SETTINGS
+@given(trees_up_to_8())
+def test_walks_equal_their_recursive_definitions(t):
+    skel = ref_skeleton(t)
+    assert skeleton(t) == skel
+    assert foliation(t) == ref_foliation(t)
+    assert decorate(foliation(t), skel) is ref_decorate(foliation(t), skel) is t
+    assert tree_factorial(t) == tree_factorial(skel) == ref_tree_factorial(t)
+    assert skeleton_string(skel) == ref_skeleton_string(skel)
+    assert tree_to_json(t) == ref_tree_to_json(t)
+    assert tree_from_json(ref_tree_to_json(t)) is ref_tree_from_json(ref_tree_to_json(t)) is t
+    assert render_tree_expr(t) == ref_render(t)
+    assert repr(t) == f"DecoratedTree({ref_render(t)!r})"
+    assert repr(skel) == f"PlanarTree({ref_skeleton_string(skel)!r})"
+    word = ParenthesisWord(tuple(ref_word_tokens(t)))
+    assert delta_to_tree(word) is t
+    assert np.array_equal(TreeEvaluator(U).values(t), ref_values(t, U))
+
+
+@WALK_SETTINGS
+@given(st.lists(trees_up_to_8(), max_size=12))
+def test_flat_keys_sort_like_nested_keys(ts):
+    assert sorted(ts, key=canonical_key) == sorted(ts, key=ref_nested_key)
+    assert all(len(canonical_key(t)) == 3 * t.order + 1 for t in ts)
+
+
+def test_shared_evaluator_matches_fresh_ones():
+    # the tour stops at subtrees the evaluator has cached
+    rng = np.random.default_rng(3)
+    ts = [decorate(tuple(int(k) for k in rng.integers(0, 4, n)), skel)
+          for n in range(6) for skel in enumerate_trees(n)]
+    ev = TreeEvaluator(U)
+    for t in ts:
+        assert np.array_equal(ev.values(t), TreeEvaluator(U).values(t))
+
+
+# ---------------------------------------------------------------------------
+# deep trees
+
+def test_every_walk_takes_100k_deep_combs():
+    n = 100_000
+    for t, key, skel_text, expr in (
+        (left_comb((1,) * n), (*[v for k in range(n, 0, -1) for v in (k, 0, 1)], 0),
+         "(" * n + ")" * n, "(x1<" * (n - 1) + "x1" + ")" * (n - 1)),
+        (right_comb((1,) * n), (*range(n, -1, -1), *(1, 0) * n),
+         "()" * n, "(" * (n - 1) + "x1" + ">x1)" * (n - 1)),
+    ):
+        skel = skeleton(t)
+        assert skel.order == n
+        assert foliation(t) == (1,) * n
+        assert decorate((1,) * n, skel) is t
+        assert tree_factorial(t) == math.factorial(n)
+        assert canonical_key(t) == key
+        assert repr(skel) == f"PlanarTree({skel_text!r})"  # skeleton_string
+        assert tree_from_json(tree_to_json(t)) is t
+        assert repr(t) == f"DecoratedTree({expr!r})"  # render_tree_expr
+
+
+def test_deep_parenthesis_word():
+    word = "x1[" * 2000 + "x1" + "]" * 2000
+    assert delta_to_tree(parse_parenthesis_word(word)) is left_comb((1,) * 2001)
+
+
+def test_values_of_5000_deep_combs():
+    n, u = 5000, random_smooth_signal(np.random.default_rng(4), 1, 2, 0.5, 16)
+    ch = u.channel(1)
+    left = right = trapezoid_prefix(ch, u.h)
+    for _ in range(n - 1):
+        left = trapezoid_prefix(ch @ left, u.h)  # left comb: E = int u_1 E_right
+        right = trapezoid_prefix(right @ ch, u.h)  # right comb: E = int E_left u_1
+    assert np.array_equal(TreeEvaluator(u).values(left_comb((1,) * n)), left)
+    assert np.array_equal(TreeEvaluator(u).values(right_comb((1,) * n)), right)
+
+
+# ---------------------------------------------------------------------------
+# guard: no function recurses by name
+
+#: ``_enumerate`` recurses once per order, and ``enumerate_trees`` refuses
+#: orders above ``DEFAULT_ENUMERATION_CAP`` (14), so its depth is bounded
+ALLOWED_SELF_CALLS = {("trees.py", "_enumerate")}
+
+
+def test_no_function_calls_itself_by_name():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                by_name = isinstance(f, ast.Name) and f.id == fn.name
+                by_method = (isinstance(f, ast.Attribute) and f.attr == fn.name
+                             and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls"))
+                if by_name or by_method:
+                    found.add((path.name, fn.name))
+    assert found == ALLOWED_SELF_CALLS
