@@ -154,11 +154,25 @@ class TreePolynomial:
 
 @lru_cache(maxsize=200_000)
 def _shuffle_trees(t1: DecoratedTree, t2: DecoratedTree) -> tuple[DecoratedTree, ...]:
-    if t1.is_leaf:
-        return (t2,)
-    if t2.is_leaf:
-        return (t1,)
-    return _prec_trees(t1, t2) + _succ_trees(t1, t2)
+    """t1 sh t2 over the right spine a_0 = t1, a_{i+1} = a_i^r of t1 and the
+    left spine b_0 = t2, b_{j+1} = b_j^l of t2: a_i sh b_j is the prec branch
+    a_i^l v (a_{i+1} sh b_j), then the succ branch (a_i sh b_{j+1}) v b_j^r.
+    ``row[j]`` holds a_i sh b_j; rows are filled from the leaves up."""
+    a_spine, b_spine = [], []
+    while not t1.is_leaf:
+        a_spine.append(t1)
+        t1 = t1.right
+    while not t2.is_leaf:
+        b_spine.append(t2)
+        t2 = t2.left
+    row = [[b] for b in b_spine] + [[DLEAF]]
+    for a in reversed(a_spine):
+        row[-1] = [a]
+        for j in range(len(b_spine) - 1, -1, -1):
+            b = b_spine[j]
+            row[j] = [DecoratedTree(a.left, a.letter, s) for s in row[j]] \
+                + [DecoratedTree(s, b.letter, b.right) for s in row[j + 1]]
+    return tuple(row[0])
 
 
 def _prec_trees(t1: DecoratedTree, t2: DecoratedTree) -> tuple[DecoratedTree, ...]:
@@ -327,83 +341,72 @@ def delta_to_tree(pw: ParenthesisWord) -> DecoratedTree:
 _EXPR_TOKEN_RE = re.compile(r"x\d+|\d+/\d+|\d+|[()<>+\-*]|\s+")
 
 
-class _ExprParser:
-    """Recursive descent for
-    expr   := term (('+'|'-') term)*
+def parse_dendriform_expr(text: str) -> TreePolynomial:
+    """Parse an ASCII '<' / '>' expression into a polynomial:
+    expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := [rational '*'] factor
     factor := letter | '(' expr ('<'|'>') expr ')'
     Products must be fully parenthesized (they are non-associative).
-    """
+    ``total`` is the sum so far of the innermost open expression (``None``
+    before its first term) and ``sign`` that of its next term; each open
+    product holds the enclosing ``total``, ``sign`` and scale, then its left
+    operand and '<' / '>'."""
+    tokens = _tokenize(text, _EXPR_TOKEN_RE)[::-1]  # the next token is last
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text, _EXPR_TOKEN_RE)
-        self.pos = 0
+    def take(expected: str | None = None) -> str:
+        if not tokens:
+            raise ParseError(f"unexpected end of expression {text!r}")
+        if expected is not None and tokens[-1] != expected:
+            raise ParseError(f"expected {expected!r}, got {tokens[-1]!r} in {text!r}")
+        return tokens.pop()
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"unexpected end of expression {self.text!r}")
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, got {tok!r} in {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> TreePolynomial:
-        out = self.expr()
-        if self.peek() is not None:
-            raise ParseError(f"trailing tokens from {self.peek()!r} in {self.text!r}")
-        return out
-
-    def expr(self) -> TreePolynomial:
-        negate = False
-        if self.peek() in ("+", "-"):
-            negate = self.take() == "-"
-        out = self.term()
-        if negate:
-            out = -out
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
-        return out
-
-    def term(self) -> TreePolynomial:
-        coeff = Fraction(1)
-        tok = self.peek()
-        if tok is not None and re.fullmatch(r"\d+(/\d+)?", tok):
-            self.take()
-            coeff = Fraction(tok)
-            self.take("*")
-        return self.factor().scale(coeff)
-
-    def factor(self) -> TreePolynomial:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"unexpected end of expression {self.text!r}")
-        if tok.startswith("x"):
-            self.take()
-            letter = int(tok[1:])
-            return TreePolynomial.single(graft(DLEAF, letter, DLEAF))
+    products: list[list] = []
+    total, sign = None, "+"
+    while True:
+        if total is None and tokens and tokens[-1] in ("+", "-"):
+            sign = take()
+        scale = Fraction(1)
+        if tokens and re.fullmatch(r"\d+(/\d+)?", tokens[-1]):
+            tok = take()
+            try:
+                scale = Fraction(tok)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {tok!r} in {text!r}") from None
+            take("*")
+        tok = take()
         if tok == "(":
-            self.take("(")
-            lhs = self.expr()
-            op = self.take()
-            if op not in ("<", ">"):
-                raise ParseError(
-                    f"products must be parenthesized pairs; got {op!r} in {self.text!r}")
-            rhs = self.expr()
-            self.take(")")
-            return prec(lhs, rhs) if op == "<" else succ(lhs, rhs)
-        raise ParseError(f"unexpected token {tok!r} in {self.text!r}")
-
-
-def parse_dendriform_expr(text: str) -> TreePolynomial:
-    """Parse an ASCII '<' / '>' expression into a polynomial."""
-    return _ExprParser(text).parse()
+            products.append([total, sign, scale, None, None])
+            total, sign = None, "+"
+            continue
+        if not tok.startswith("x"):
+            raise ParseError(f"unexpected token {tok!r} in {text!r}")
+        value = TreePolynomial.single(graft(DLEAF, int(tok[1:]), DLEAF))
+        while True:  # close the term, then every product that ends here
+            value = value.scale(scale)
+            if total is None:
+                total = -value if sign == "-" else value
+            else:
+                total = total + value if sign == "+" else total - value
+            if tokens and tokens[-1] in ("+", "-"):
+                sign = take()
+                break
+            if not products:
+                if tokens:
+                    raise ParseError(f"trailing tokens from {tokens[-1]!r} in {text!r}")
+                return total
+            product = products[-1]
+            if product[3] is None:
+                op = take()
+                if op not in ("<", ">"):
+                    raise ParseError(
+                        f"products must be parenthesized pairs; got {op!r} in {text!r}")
+                product[3:] = total, op
+                total, sign = None, "+"
+                break
+            take(")")
+            lhs, op = product[3:]
+            value = prec(lhs, total) if op == "<" else succ(lhs, total)
+            total, sign, scale = products.pop()[:3]
 
 
 def render_tree_expr(t: DecoratedTree) -> str:

@@ -432,8 +432,10 @@ def run(argv: list[str] | None = None) -> int:
         # warnings would only put text ahead of the error (or the JSON error)
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (CliError, ValueError, OSError, RecursionError) as exc:
-        # the JSON reader, the --expr parser and the tree products recurse per level
+    except (CliError, ValueError, OSError, MemoryError, RecursionError) as exc:
+        # the json module recurses once per nesting level, so a deep series
+        # file or a very deep tree's JSON form ends in RecursionError; a grid
+        # too large to allocate ends in numpy's MemoryError
         message = "the input nests too deeply to read" \
             if isinstance(exc, RecursionError) else str(exc)
         if getattr(args, "json", False):

@@ -13,8 +13,7 @@ import math
 import operator
 import threading
 import weakref
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -61,13 +60,16 @@ class EnumerationCapError(ValueError):
     """Requested enumeration order above the configured cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanarTree:
-    """Undecorated planar binary tree; a leaf has both children ``None``."""
+    """Undecorated planar binary tree; a leaf has both children ``None``.
+
+    Trees compare and hash by :func:`skeleton_string`, which is injective and
+    takes trees of any depth."""
 
     left: "PlanarTree | None" = None
     right: "PlanarTree | None" = None
-    order: int = field(default=0, compare=False, hash=False)
+    order: int = 0
 
     def __post_init__(self) -> None:
         if (self.left is None) != (self.right is None):
@@ -79,6 +81,14 @@ class PlanarTree:
     @property
     def is_leaf(self) -> bool:
         return self.left is None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PlanarTree):
+            return NotImplemented
+        return skeleton_string(self) == skeleton_string(other)
+
+    def __hash__(self) -> int:
+        return hash(skeleton_string(self))
 
     def __repr__(self) -> str:
         return f"PlanarTree({skeleton_string(self)!r})"
@@ -176,7 +186,7 @@ def _tour(t, known=()):
     ``(v, 0)`` on the way down, ``(v, 1)`` at v's in-order place and ``(v, 2)``
     on the way up.  A leaf, or a subtree in ``known`` when the tour reaches it,
     comes once as ``(v, 0)`` and is not entered.  Only a non-empty ``known``
-    hashes vertices (a ``PlanarTree`` hashes recursively)."""
+    hashes vertices."""
     stack = [(t, 0)]
     while stack:
         step = stack.pop()
@@ -242,18 +252,6 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-@lru_cache(maxsize=None)
-def _enumerate(n: int) -> tuple[PlanarTree, ...]:
-    if n == 0:
-        return (LEAF,)
-    out: list[PlanarTree] = []
-    for k in range(n):
-        for l in _enumerate(k):
-            for r in _enumerate(n - 1 - k):
-                out.append(PlanarTree(l, r))
-    return tuple(out)
-
-
 def enumerate_trees(n: int) -> tuple[PlanarTree, ...]:
     """All planar binary trees of order ``n`` in canonical order; orders
     above ``DEFAULT_ENUMERATION_CAP`` are refused.
@@ -266,7 +264,11 @@ def enumerate_trees(n: int) -> tuple[PlanarTree, ...]:
     if n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(
             f"order {n} above enumeration cap {DEFAULT_ENUMERATION_CAP} (C_{n} trees)")
-    return _enumerate(n)
+    by_order = [(LEAF,)]
+    for k in range(1, n + 1):
+        by_order.append(tuple(PlanarTree(left, right) for i in range(k)
+                              for left in by_order[i] for right in by_order[k - 1 - i]))
+    return by_order[n]
 
 
 def enumerate_decorated_trees(n: int, alphabet_size: int) -> Iterator[DecoratedTree]:

@@ -241,14 +241,43 @@ def test_fliess_deep_series_file(capsys, tmp_path, depth):
 
 
 @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
-def test_deeply_nested_expr_is_a_clean_error(capsys, as_json):
-    # the --expr parser recurses three frames per nested product
-    expr = "(x1<" * 400 + "x1" + ")" * 400
-    code, out, err = run(capsys, *(["--json"] if as_json else []), "eval", "tree",
-                         "--expr", expr, "--signal", "const:0.1", "--grid", "4")
+def test_deeply_nested_expr_evaluates(capsys, as_json):
+    # the --expr reader and the products are loops, so nesting depth is no limit
+    u = cli._parse_signal("const:0.1", 4, 1.0)
+    for depth in (400, 3000):
+        expr = "(x1<" * depth + "x1" + ")" * depth
+        code, out, err = run(capsys, *(["--json"] if as_json else []), "eval", "tree",
+                             "--expr", expr, "--signal", "const:0.1", "--grid", "4")
+        assert code == 0 and err == ""
+        want = integrals.evaluate_tree(trees.left_comb((1,) * (depth + 1)), u)
+        if as_json:
+            assert json.loads(out)["values"] == want.values.tolist()
+        else:
+            assert out == f"value at horizon t = {u.horizon}:\n{want.at_horizon}\n"
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+@pytest.mark.parametrize("argv", [
+    ["eval", "tree", "--expr", "1/0 * x1", "--signal", "const:0.1"],
+    ["algebra", "shuffle", "1/0 * x1", "x1"],
+], ids=["eval", "algebra"])
+def test_zero_denominator_is_a_clean_error(capsys, argv, as_json):
+    code, out, err = run(capsys, *(["--json"] if as_json else []), *argv)
     assert code == 1 and out == ""
-    want = "the input nests too deeply to read"
+    want = "zero denominator in '1/0' in '1/0 * x1'"
     assert (json.loads(err) == {"error": want}) if as_json else err == f"error: {want}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "tree", "--expr", "x1", "--signal", "const:0.1", "--grid", "1000000000000000"],
+    ["magnus", "--signal", "const:0,1;-1,0", "--order", "2", "--grid", "2",
+     "--refine", "1000000000000000", "--compare-rk4"],
+], ids=["eval", "magnus"])
+def test_grid_too_large_to_allocate_is_a_json_error(capsys, argv):
+    # 7.1 and 28.4 PiB, more than a process can map, so the allocation fails at once
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"].startswith("Unable to allocate")
 
 
 @pytest.mark.parametrize("argv", [

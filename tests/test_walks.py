@@ -1,5 +1,6 @@
 """Tree walks: every walk equals its recursive definition, handles deep trees,
-and no function in the package calls itself by name."""
+and no function in the package calls itself by name, directly or through
+others."""
 
 import ast
 import math
@@ -192,6 +193,8 @@ def test_every_walk_takes_100k_deep_combs():
     ):
         skel = skeleton(t)
         assert skel.order == n
+        again = skeleton(t)  # another object: compared and hashed by value
+        assert again == skel and hash(again) == hash(skel)
         assert foliation(t) == (1,) * n
         assert decorate((1,) * n, skel) is t
         assert tree_factorial(t) == math.factorial(n)
@@ -218,26 +221,89 @@ def test_values_of_5000_deep_combs():
 
 
 # ---------------------------------------------------------------------------
-# guard: no function recurses by name
+# guard: no function in the package calls itself, directly or through others
 
-#: ``_enumerate`` recurses once per order, and ``enumerate_trees`` refuses
-#: orders above ``DEFAULT_ENUMERATION_CAP`` (14), so its depth is bounded
-ALLOWED_SELF_CALLS = {("trees.py", "_enumerate")}
+def call_graph(paths):
+    """Edges f -> g between the functions defined in ``paths``: f calls g by
+    bare name, or as ``self.g`` / ``cls.g`` in g's class.  A function is named
+    ``module:qualname``.  A bare name resolves to a definition in an
+    enclosing scope or the module, else to one imported by
+    ``from .module import name``; attribute calls on modules draw no edge."""
+    defs, imports = {}, {}  # defs: name -> (def node, enclosing class qualname)
+    for path in paths:
+        module = path.stem
+        todo = [(ast.parse(path.read_text()), "", None)]
+        while todo:
+            node, prefix, cls = todo.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defs[f"{module}:{prefix}{child.name}"] = (child, cls)
+                    todo.append((child, f"{prefix}{child.name}.", cls))
+                elif isinstance(child, ast.ClassDef):
+                    todo.append((child, f"{prefix}{child.name}.", f"{prefix}{child.name}"))
+                else:
+                    if isinstance(child, ast.ImportFrom) and child.level:
+                        for alias in child.names:
+                            imports[module, alias.asname or alias.name] = \
+                                f"{child.module}:{alias.name}"
+                    todo.append((child, prefix, cls))
+    graph = {}
+    for name, (fn, cls) in defs.items():
+        module, qual = name.split(":")
+        scopes = qual.split(".")
+        edges = graph[name] = set()
+        todo = list(fn.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue  # a nested definition's calls are its own
+            todo += ast.iter_child_nodes(node)
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                candidates = [f"{module}:{'.'.join(scopes[:k] + [f.id])}"
+                              for k in range(len(scopes), -1, -1)]
+                candidates.append(imports.get((module, f.id)))
+            elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                  and f.value.id in ("self", "cls") and cls is not None):
+                candidates = [f"{module}:{cls}.{f.attr}"]
+            else:
+                continue
+            target = next((c for c in candidates if c in defs), None)
+            if target is not None:
+                edges.add(target)
+    return graph
+
+
+def cycles(graph):
+    """The groups of functions that call themselves, directly or through
+    each other, each as a sorted tuple of names."""
+    reach = {}
+    for f in graph:
+        seen, todo = set(), list(graph[f])
+        while todo:
+            g = todo.pop()
+            if g not in seen:
+                seen.add(g)
+                todo += graph[g]
+        reach[f] = seen
+    return sorted({tuple(sorted(g for g in reach[f] if f in reach[g]))
+                   for f in graph if f in reach[f]})
 
 
 def test_no_function_calls_itself_by_name():
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(fn):
-                if not isinstance(node, ast.Call):
-                    continue
-                f = node.func
-                by_name = isinstance(f, ast.Name) and f.id == fn.name
-                by_method = (isinstance(f, ast.Attribute) and f.attr == fn.name
-                             and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls"))
-                if by_name or by_method:
-                    found.add((path.name, fn.name))
-    assert found == ALLOWED_SELF_CALLS
+    assert cycles(call_graph(sorted(SRC.glob("*.py")))) == []
+
+
+def test_call_graph_finds_recursion():
+    # the recursive oracles of the tree shuffle, the --expr reader and the
+    # tree enumeration: mutual recursion, through self, and a self-call
+    found = cycles(call_graph([pathlib.Path(__file__).with_name("test_loops.py")]))
+    assert found == [
+        ("test_loops:RefExprParser.expr", "test_loops:RefExprParser.factor",
+         "test_loops:RefExprParser.term"),
+        ("test_loops:ref_enumerate",),
+        ("test_loops:ref_prec_trees", "test_loops:ref_shuffle_trees",
+         "test_loops:ref_succ_trees"),
+    ]
