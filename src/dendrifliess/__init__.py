@@ -68,11 +68,9 @@ from .signals import (
 )
 from .trees import (
     DLEAF,
-    LEAF,
     AlphabetError,
     DecoratedTree,
     EnumerationCapError,
-    PlanarTree,
     TreeError,
     catalan,
     decorate,

@@ -223,7 +223,7 @@ def pre_lie(p: TreePolynomial, q: TreePolynomial) -> TreePolynomial:
 def char_trees(n: int, letter: int = 1) -> TreePolynomial:
     """Sum of all order-``n`` trees decorated with ``letter``^n, coefficients 1."""
     return TreePolynomial({
-        decorate((letter,) * n, skel): Fraction(1) for skel in enumerate_trees(n)
+        decorate((letter,) * n, shape): Fraction(1) for shape in enumerate_trees(n)
     })
 
 

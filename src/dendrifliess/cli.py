@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -56,8 +57,13 @@ def _parse_signal(spec: str, grid: int, horizon: float) -> signals.MatrixSignal:
 
 def _print_json(doc) -> None:
     """One JSON document on stdout; a NaN or infinity raises ``ValueError``
-    (a JSON error), since JSON cannot hold it."""
-    print(json.dumps(doc, allow_nan=False))
+    (a JSON error), since JSON cannot hold it.  The json module recurses once
+    per nesting level, so a very deep tree cannot be written as JSON."""
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except RecursionError:
+        raise CliError("the result nests too deeply to write as JSON") from None
+    print(text)
 
 
 def _write_csv(path: str, result: integrals.EvaluationResult) -> None:
@@ -108,13 +114,13 @@ def _cmd_trees(args) -> int:
     ts = trees.enumerate_trees(args.order)
     word = trees.parse_word(args.decorate) if args.decorate else None
     records = []
-    for skel in ts:
+    for shape in ts:
         if word is not None:
-            dec = trees.decorate(word, skel)
+            dec = trees.decorate(word, shape)
             records.append(trees.tree_to_json(dec) if args.json
                            else algebra.render_tree_expr(dec))
         else:
-            records.append(trees.skeleton_string(skel))
+            records.append(shape)
     if args.json:
         _print_json({"order": args.order, "count": len(ts), "trees": records})
     else:
@@ -155,7 +161,10 @@ def _load_series(spec: str) -> operators.GeneratingSeries:
     of ``{coeff, tree}`` records."""
     if not spec.startswith("dyson:"):
         with open(spec) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:  # json.load recurses once per nesting level
+                raise CliError("the series file nests too deeply to read as JSON") from None
         rule = data.get("rule") if isinstance(data, dict) else None
         if not (isinstance(rule, str) and rule.startswith("dyson:")):
             terms = operators.terms_from_json(data)
@@ -211,10 +220,10 @@ def _cmd_magnus(args) -> int:
 # verification suites (seeded, desk scale)
 
 def _random_homogeneous(rng: random.Random, order: int, m: int = 2) -> algebra.TreePolynomial:
-    skel = rng.choice(trees.enumerate_trees(order))
+    shape = rng.choice(trees.enumerate_trees(order))
     word = tuple(rng.randint(0, m) for _ in range(order))
     coeff = Fraction(rng.randint(1, 5), rng.randint(1, 5))
-    return algebra.TreePolynomial.single(trees.decorate(word, skel), coeff)
+    return algebra.TreePolynomial.single(trees.decorate(word, shape), coeff)
 
 
 def _verify_axioms(seed: int) -> list[str]:
@@ -248,7 +257,6 @@ def _verify_catalan(seed: int) -> list[str]:
         if len(trees.enumerate_trees(n)) != trees.catalan(n):
             failures.append(f"count mismatch at order {n}")
     for n in range(9):
-        import math
         for side, comb in (("left", trees.left_comb), ("right", trees.right_comb)):
             if trees.tree_factorial(trees.skeleton(comb((1,) * n))) != math.factorial(n):
                 failures.append(f"{side} comb factorial at order {n}")
@@ -300,10 +308,10 @@ def _verify_bounds(seed: int) -> list[str]:
             failures.append(f"case {k}: domination {lhs:.3e} > {rhs:.3e}")
     one = signals.constant_signal(np.array([[1.0]]), 1.0, 1000)
     for n in range(1, 5):
-        for skel in trees.enumerate_trees(n):
-            t = trees.decorate((1,) * n, skel)
+        for shape in trees.enumerate_trees(n):
+            t = trees.decorate((1,) * n, shape)
             got = integrals.evaluate_tree(t, one).at_horizon[0, 0]
-            want = 1.0 / trees.tree_factorial(skel)
+            want = 1.0 / trees.tree_factorial(shape)
             if abs(got - want) > 1e-6:
                 failures.append(f"closed form at order {n}: {got} vs {want}")
         if integrals.check_factorial_identity(n, one) > 1e-6:
@@ -433,15 +441,11 @@ def run(argv: list[str] | None = None) -> int:
         with np.errstate(all="ignore"):
             return args.func(args)
     except (CliError, ValueError, OSError, MemoryError, RecursionError) as exc:
-        # the json module recurses once per nesting level, so a deep series
-        # file or a very deep tree's JSON form ends in RecursionError; a grid
-        # too large to allocate ends in numpy's MemoryError
-        message = "the input nests too deeply to read" \
-            if isinstance(exc, RecursionError) else str(exc)
+        # a grid too large to allocate ends in numpy's MemoryError
         if getattr(args, "json", False):
-            print(json.dumps({"error": message}), file=sys.stderr)
+            print(json.dumps({"error": str(exc)}), file=sys.stderr)
         else:
-            print(f"error: {message}", file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -29,7 +29,16 @@ from .signals import (
     ubar,
     ubar_integrals,
 )
-from .trees import DLEAF, DecoratedTree, Word, _tour, foliation, left_comb, tree_factorial
+from .trees import (
+    DLEAF,
+    DecoratedTree,
+    Word,
+    _tour,
+    foliation,
+    left_comb,
+    skeleton,
+    tree_factorial,
+)
 
 __all__ = [
     "EvaluationResult",
@@ -153,7 +162,7 @@ def bound_tree_factorial(t: DecoratedTree, u: MatrixSignal) -> float:
         big_u = u.horizon
     else:
         big_u = float(ubar_integrals(u)[i - 1, -1])
-    return big_u ** t.order / tree_factorial(t)
+    return big_u ** t.order / tree_factorial(skeleton(t))
 
 
 def bound_left_comb(word: Word, u: MatrixSignal) -> float:

@@ -313,18 +313,17 @@ def magnus_evaluate(series: MagnusSeries,
     return omega, expm_stack(omega.values)
 
 
-def resolve_pre_lie_orientation(u: MatrixSignal, max_order: int = 3,
-                                refinement: int = 4) -> str:
+def resolve_pre_lie_orientation(u: MatrixSignal) -> str:
     """Pick the bracket orientation that actually converges to the ODE flow.
 
-    For each orientation, exponentiate the truncated exponent at orders
-    1..max_order and compare against the Runge-Kutta reference; the
-    orientation whose error at the top order is smaller wins.
+    For each orientation, exponentiate the exponent truncated at order 3 and
+    compare it against the Runge-Kutta reference at refinement 4; the
+    orientation with the smallest error wins.
     """
-    reference = rk4_reference(u, refinement)[-1]
+    reference = rk4_reference(u, 4)[-1]
     best: tuple[float, str] | None = None
     for orientation in BRACKET_ORIENTATIONS:
-        series = magnus_generating_series(max_order, orientation)
+        series = magnus_generating_series(3, orientation)
         _, z = magnus_evaluate(series, u)
         err = float(stack_norm1(z[-1] - reference))
         if best is None or err < best[0]:

@@ -1,10 +1,12 @@
 """Planar binary trees as a free magma, with decorations.
 
-Trees are immutable and hashable, and decorated trees are hash-consed (one
-object per tree); the trivial tree (leaf) is the shared constants ``LEAF`` /
-``DLEAF``.  Order counts interior vertices.  Decorated trees carry one
-alphabet letter (a non-negative int, 0 reserved for the drift channel) per
-interior vertex; the foliation reads them in in-order.
+A decorated tree is a hash-consed :class:`DecoratedTree` (one object per
+tree); the trivial tree (leaf) is the shared constant ``DLEAF``.  Order counts
+interior vertices.  A tree carries one alphabet letter (a non-negative int, 0
+reserved for the drift channel) per interior vertex; the foliation reads them
+in in-order.  A tree's shape is its Dyck word (balanced parentheses): the leaf
+is ``""`` and a vertex is ``shape(left) + "(" + shape(right) + ")"``, so a
+shape of order n has n pairs.
 """
 
 from __future__ import annotations
@@ -13,16 +15,13 @@ import math
 import operator
 import threading
 import weakref
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 __all__ = [
     "AlphabetError",
     "TreeError",
     "EnumerationCapError",
-    "PlanarTree",
     "DecoratedTree",
-    "LEAF",
     "DLEAF",
     "Word",
     "parse_word",
@@ -37,7 +36,6 @@ __all__ = [
     "right_comb",
     "tree_factorial",
     "canonical_key",
-    "skeleton_string",
     "tree_to_json",
     "tree_from_json",
     "DEFAULT_ENUMERATION_CAP",
@@ -60,40 +58,6 @@ class EnumerationCapError(ValueError):
     """Requested enumeration order above the configured cap."""
 
 
-@dataclass(frozen=True, eq=False)
-class PlanarTree:
-    """Undecorated planar binary tree; a leaf has both children ``None``.
-
-    Trees compare and hash by :func:`skeleton_string`, which is injective and
-    takes trees of any depth."""
-
-    left: "PlanarTree | None" = None
-    right: "PlanarTree | None" = None
-    order: int = 0
-
-    def __post_init__(self) -> None:
-        if (self.left is None) != (self.right is None):
-            raise TreeError("a node needs both children; a leaf has neither")
-        if self.left is not None:
-            assert self.right is not None
-            object.__setattr__(self, "order", self.left.order + self.right.order + 1)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PlanarTree):
-            return NotImplemented
-        return skeleton_string(self) == skeleton_string(other)
-
-    def __hash__(self) -> int:
-        return hash(skeleton_string(self))
-
-    def __repr__(self) -> str:
-        return f"PlanarTree({skeleton_string(self)!r})"
-
-
 #: every live ``DecoratedTree`` under the ids of its children and its letter;
 #: it holds the trees weakly, so a tree nobody else holds is freed as usual
 _INTERNED: "weakref.WeakValueDictionary[tuple, DecoratedTree]" = weakref.WeakValueDictionary()
@@ -107,15 +71,14 @@ class DecoratedTree:
     Trees are hash-consed: ``DecoratedTree(left, letter, right)`` returns the
     live tree with those children and letter when there is one, so equal trees
     are one object, ``==`` is ``is`` and the hash, computed once from the
-    children's, costs O(1) however deep the tree.  ``order`` is always counted
-    from the children; the argument is accepted for the positional form
-    ``DecoratedTree(left, letter, right, order)`` and otherwise ignored.
+    children's, costs O(1) however deep the tree.  ``order`` is counted from
+    the children.
     """
 
     __slots__ = ("left", "letter", "right", "order", "_hash", "__weakref__")
 
     def __new__(cls, left: "DecoratedTree | None" = None, letter: int | None = None,
-                right: "DecoratedTree | None" = None, order: int | None = None):
+                right: "DecoratedTree | None" = None):
         if letter is not None and type(letter) is not int:
             letter = operator.index(letter)  # one key per letter; floats are refused
         # a live tree keeps its children alive, so their ids name them
@@ -143,7 +106,7 @@ class DecoratedTree:
                 _INTERNED[key] = node
         return node
 
-    def __init__(self, left=None, letter=None, right=None, order=None) -> None:
+    def __init__(self, left=None, letter=None, right=None) -> None:
         """Nothing to do: ``__new__`` builds or finds the node.  Defined in the
         class body so that profilers can wrap construction by name."""
 
@@ -172,7 +135,6 @@ class DecoratedTree:
         return f"DecoratedTree({render_tree_expr(self)!r})"
 
 
-LEAF = PlanarTree()
 DLEAF = DecoratedTree()
 
 
@@ -200,21 +162,9 @@ def _tour(t, known=()):
             stack += ((v, 2), (v.right, 0))
 
 
-def _fold(t, leaf, node):
-    """``node(v, fold(v.left), fold(v.right))`` bottom-up, ``leaf`` at leaves."""
-    out = []
-    for v, stage in _tour(t):
-        if v.left is None:
-            out.append(leaf)
-        elif stage == 2:
-            right = out.pop()
-            out[-1] = node(v, out[-1], right)
-    return out[0]
-
-
-def skeleton(t: DecoratedTree) -> PlanarTree:
-    """Erase decorations."""
-    return _fold(t, LEAF, lambda v, left, right: PlanarTree(left, right))
+def skeleton(t: DecoratedTree) -> str:
+    """The shape of ``t``: its Dyck word, decorations erased."""
+    return "".join("(" if stage == 1 else ")" for _, stage in _tour(t) if stage)
 
 
 def foliation(t: DecoratedTree) -> Word:
@@ -222,27 +172,33 @@ def foliation(t: DecoratedTree) -> Word:
     return tuple(v.letter for v, stage in _tour(t) if stage == 1)
 
 
-def decorate(word: Sequence[int], skel: PlanarTree) -> DecoratedTree:
-    """Attach ``word`` to the interior vertices of ``skel`` in in-order.
+def decorate(word: Sequence[int], shape: str) -> DecoratedTree:
+    """Attach ``word`` to the interior vertices of ``shape`` in in-order.
 
+    Each ``(`` opens a vertex, whose left subtree is complete, and takes the
+    next letter; each ``)`` closes the open vertex and grafts its left
+    subtree, letter and right subtree.
     Vertex ``v_j`` is where the paths from leaves ``j`` and ``j+1`` join,
     which is exactly the in-order position of the vertex.
     """
     word = tuple(word)
-    if len(word) != skel.order:
-        raise TreeError(
-            f"word length {len(word)} != tree order {skel.order}")
+    order = shape.count("(")
+    if len(word) != order:
+        raise TreeError(f"word length {len(word)} != tree order {order}")
     letters = iter(word)
-    out: list = []  # left subtree, letter, right subtree of each open vertex
-    for v, stage in _tour(skel):
-        if v.left is None:
-            out.append(DLEAF)
-        elif stage == 1:
-            out.append(next(letters))
-        elif stage == 2:
+    out: list = [DLEAF]  # left subtree, then letter and right subtree of each open vertex
+    for ch in shape:
+        if ch == "(":
+            out += (next(letters), DLEAF)
+        elif ch == ")" and len(out) > 1:
             right, letter = out.pop(), out.pop()
             out[-1] = DecoratedTree(out[-1], letter, right)
-    return out[0]
+        else:
+            break
+    else:
+        if len(out) == 1:
+            return out[0]
+    raise TreeError(f"shape {shape!r} is not a balanced word over '()'")
 
 
 def catalan(n: int) -> int:
@@ -252,9 +208,9 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def enumerate_trees(n: int) -> tuple[PlanarTree, ...]:
-    """All planar binary trees of order ``n`` in canonical order; orders
-    above ``DEFAULT_ENUMERATION_CAP`` are refused.
+def enumerate_trees(n: int) -> tuple[str, ...]:
+    """The shapes (Dyck words) of all planar binary trees of order ``n`` in
+    canonical order; orders above ``DEFAULT_ENUMERATION_CAP`` are refused.
 
     Canonical order is (left-subtree key, right-subtree key) lexicographic,
     which the Segner-style generation produces directly.
@@ -264,9 +220,9 @@ def enumerate_trees(n: int) -> tuple[PlanarTree, ...]:
     if n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(
             f"order {n} above enumeration cap {DEFAULT_ENUMERATION_CAP} (C_{n} trees)")
-    by_order = [(LEAF,)]
+    by_order = [("",)]
     for k in range(1, n + 1):
-        by_order.append(tuple(PlanarTree(left, right) for i in range(k)
+        by_order.append(tuple(left + "(" + right + ")" for i in range(k)
                               for left in by_order[i] for right in by_order[k - 1 - i]))
     return by_order[n]
 
@@ -276,9 +232,9 @@ def enumerate_decorated_trees(n: int, alphabet_size: int) -> Iterator[DecoratedT
     import itertools
 
     letters = range(alphabet_size + 1)
-    for skel in enumerate_trees(n):
+    for shape in enumerate_trees(n):
         for word in itertools.product(letters, repeat=n):
-            yield decorate(word, skel)
+            yield decorate(word, shape)
 
 
 def left_comb(word: Sequence[int]) -> DecoratedTree:
@@ -301,10 +257,18 @@ def right_comb(word: Sequence[int]) -> DecoratedTree:
     return t
 
 
-def tree_factorial(t: PlanarTree | DecoratedTree) -> int:
-    """Tree factorial: the product over interior vertices of the order of the
-    subtree rooted there; 1 on the leaf, and n! on combs of order n."""
-    factors = [v.order for v, stage in _tour(t) if stage == 1]
+def tree_factorial(shape: str) -> int:
+    """Tree factorial of a shape: the product over interior vertices of the
+    order of the subtree rooted there; 1 on the leaf, and n! on combs of
+    order n."""
+    orders, factors = [0], []  # orders: left subtree, then right subtree of each open vertex
+    for ch in shape:
+        if ch == "(":
+            orders.append(0)
+        else:
+            right = orders.pop()
+            orders[-1] += right + 1
+            factors.append(orders[-1])
     while len(factors) > 1:  # pairwise, so a comb's n! is not built one small factor at a time
         factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
     return math.prod(factors)
@@ -317,14 +281,16 @@ def canonical_key(t: DecoratedTree) -> tuple[int, ...]:
     return tuple(v.letter if stage == 1 else v.order for v, stage in _tour(t) if stage < 2)
 
 
-def skeleton_string(t: PlanarTree) -> str:
-    """Balanced-parenthesis encoding: leaf -> '', node -> skel(l) + '(' + skel(r) + ')'."""
-    return "".join("(" if stage == 1 else ")" for _, stage in _tour(t) if stage)
-
-
 def tree_to_json(t: DecoratedTree) -> dict | None:
     """JSON form {"l": ..., "x": i, "r": ...}; leaf -> null."""
-    return _fold(t, None, lambda v, left, right: {"l": left, "x": v.letter, "r": right})
+    out: list = []
+    for v, stage in _tour(t):
+        if v.left is None:
+            out.append(None)
+        elif stage == 2:
+            right = out.pop()
+            out[-1] = {"l": out[-1], "x": v.letter, "r": right}
+    return out[0]
 
 
 def tree_from_json(obj: dict | None) -> DecoratedTree:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from dendrifliess import cli, integrals, signals, trees
+from dendrifliess import algebra, cli, integrals, signals, trees
 
 
 def run(capsys, *argv):
@@ -19,7 +19,7 @@ def run(capsys, *argv):
 def test_trees_enum(capsys):
     code, out, _ = run(capsys, "trees", "enum", "--order", "3")
     assert code == 0
-    assert len(out.strip().splitlines()) == 5
+    assert out.splitlines() == ["((()))", "(()())", "()(())", "(())()", "()()()"]
 
 
 def test_trees_enum_json_decorated(capsys):
@@ -238,6 +238,20 @@ def test_fliess_deep_series_file(capsys, tmp_path, depth):
     else:
         assert code == 1 and out == ""
         assert "nests too deeply" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_deep_product_refused_only_as_json(capsys, as_json):
+    # the product reads and multiplies at any depth, but json.dumps recurses
+    # once per nesting level, so only the JSON form of the result is refused
+    expr = "(" * 3000 + "x1" + ">x1)" * 3000
+    code, out, err = run(capsys, *(["--json"] if as_json else []), "algebra", "prec", expr, "x2")
+    if as_json:
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "the result nests too deeply to write as JSON"}
+    else:
+        want = algebra.prec(algebra.parse_dendriform_expr(expr), algebra.parse_dendriform_expr("x2"))
+        assert code == 0 and err == "" and out == algebra.render_polynomial(want) + "\n"
 
 
 @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])

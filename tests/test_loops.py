@@ -26,9 +26,7 @@ from dendrifliess.algebra import (
 )
 from dendrifliess.trees import (
     DLEAF,
-    LEAF,
     DecoratedTree,
-    PlanarTree,
     decorate,
     enumerate_trees,
     graft,
@@ -132,12 +130,12 @@ class RefExprParser:
 @lru_cache(maxsize=None)
 def ref_enumerate(n):
     if n == 0:
-        return (LEAF,)
+        return ("",)
     out = []
     for k in range(n):
         for l in ref_enumerate(k):
             for r in ref_enumerate(n - 1 - k):
-                out.append(PlanarTree(l, r))
+                out.append(l + "(" + r + ")")
     return tuple(out)
 
 
@@ -207,7 +205,7 @@ def test_zero_denominator_names_its_token(text):
 
 def test_enumeration_equals_the_recursive_one():
     for n in range(11):
-        assert enumerate_trees(n) == ref_enumerate(n)  # by skeleton string, in order
+        assert enumerate_trees(n) == ref_enumerate(n)  # as Dyck words, in order
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,8 @@ import pytest
 
 from dendrifliess.trees import (
     DLEAF,
-    LEAF,
     DecoratedTree,
     EnumerationCapError,
-    PlanarTree,
     TreeError,
     catalan,
     decorate,
@@ -26,7 +24,6 @@ from dendrifliess.trees import (
     parse_word,
     right_comb,
     skeleton,
-    skeleton_string,
     tree_factorial,
     tree_from_json,
     tree_to_json,
@@ -65,9 +62,9 @@ def test_decorated_enumeration_count():
 
 
 def test_graft_orders():
-    t = PlanarTree(LEAF, LEAF)
+    t = graft(DLEAF, 1, DLEAF)
     assert t.order == 1
-    assert PlanarTree(t, t).order == 3
+    assert graft(t, 2, t).order == 3
 
 
 def test_decorate_foliation_roundtrip():
@@ -81,7 +78,16 @@ def test_decorate_foliation_roundtrip():
 
 def test_decorate_length_mismatch():
     with pytest.raises(TreeError):
-        decorate((1, 2), LEAF)
+        decorate((1, 2), "")
+    # the order of a shape is its number of "(", so a leaf takes no letter
+    with pytest.raises(TreeError, match="word length 3 != tree order 0"):
+        decorate((1, 2, 3), "")
+
+
+@pytest.mark.parametrize("shape", [")(", "((", "(x)", "())(", "(()"])
+def test_decorate_refuses_unbalanced_shapes(shape):
+    with pytest.raises(TreeError, match="not a balanced word"):
+        decorate((1,) * shape.count("("), shape)
 
 
 def test_combs():
@@ -106,9 +112,8 @@ def test_tree_factorial_combs_are_factorial():
 def test_tree_factorial_balanced():
     # by hand: root with two single-vertex children has
     # gamma = (1 + 1 + 1) * 1 * 1 = 3
-    v = PlanarTree(LEAF, LEAF)
-    assert tree_factorial(PlanarTree(v, v)) == 3
-    assert tree_factorial(LEAF) == 1
+    assert tree_factorial("()(())") == 3
+    assert tree_factorial("") == 1
 
 
 def test_tree_factorial_sum_identity():
@@ -124,10 +129,13 @@ def test_tree_factorial_sum_identity():
 
 
 def test_skeleton_string_roundtrip():
-    # the encoding is injective: the catalan(n) trees of order n have distinct strings
+    # the encoding is injective: the catalan(n) trees of order n have distinct
+    # shapes, and decorating a shape gives a tree of that shape
     for n in range(9):
-        assert len({skeleton_string(s) for s in enumerate_trees(n)}) == catalan(n)
-    assert skeleton_string(PlanarTree(LEAF, LEAF)) == "()"
+        shapes = enumerate_trees(n)
+        assert len(set(shapes)) == catalan(n)
+        assert all(skeleton(decorate((1,) * n, s)) == s for s in shapes)
+    assert skeleton(graft(DLEAF, 1, DLEAF)) == "()"
 
 
 def test_tree_json_roundtrip():
@@ -147,14 +155,14 @@ def test_parse_word():
 
 
 def test_tree_identity_semantics():
-    a = DecoratedTree(DLEAF, 1, DLEAF, 1)
+    a = DecoratedTree(DLEAF, 1, DLEAF)
     b = graft(DLEAF, 1, DLEAF)
     assert a == b and hash(a) == hash(b)
     assert a != graft(DLEAF, 2, DLEAF)
 
 
 def test_equal_trees_are_one_object():
-    t = DecoratedTree(DLEAF, 1, DLEAF, 1)
+    t = DecoratedTree(DLEAF, 1, DLEAF)
     assert t is graft(DLEAF, 1, DLEAF)
     assert decorate((1, 2), skeleton(left_comb((1, 1)))) is left_comb((1, 2))
     assert pickle.loads(pickle.dumps(t)) is t and copy.deepcopy(t) is t
@@ -224,7 +232,3 @@ def test_threads_building_one_tree_get_one_object():
 def test_tree_hooks_stay_in_the_class_body():
     # bench/tracer.py wraps these by name to count construction, hashing and equality
     assert {"__init__", "__hash__", "__eq__"} <= vars(DecoratedTree).keys()
-
-
-def test_planar_tree_equality_ignores_order_field():
-    assert PlanarTree(None, None, 0) == LEAF

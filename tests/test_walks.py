@@ -20,9 +20,7 @@ from dendrifliess.integrals import TreeEvaluator
 from dendrifliess.signals import random_smooth_signal, trapezoid_prefix
 from dendrifliess.trees import (
     DLEAF,
-    LEAF,
     DecoratedTree,
-    PlanarTree,
     canonical_key,
     decorate,
     enumerate_trees,
@@ -30,7 +28,6 @@ from dendrifliess.trees import (
     left_comb,
     right_comb,
     skeleton,
-    skeleton_string,
     tree_factorial,
     tree_from_json,
     tree_to_json,
@@ -43,21 +40,30 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dendrifliess"
 # reference oracles: the recursive definitions, one frame per level
 
 def ref_skeleton(t):
-    return LEAF if t.is_leaf else PlanarTree(ref_skeleton(t.left), ref_skeleton(t.right))
+    return "" if t.is_leaf else ref_skeleton(t.left) + "(" + ref_skeleton(t.right) + ")"
 
 
 def ref_foliation(t):
     return () if t.is_leaf else ref_foliation(t.left) + (t.letter,) + ref_foliation(t.right)
 
 
-def ref_decorate(word, skel):
-    def rec(s, lo):
-        if s.is_leaf:
-            return DLEAF
-        root = lo + s.left.order
-        return DecoratedTree(rec(s.left, lo), word[root], rec(s.right, root + 1))
+def ref_split(shape):
+    """``(left, right)`` of a non-empty shape ``left + "(" + right + ")"``: the
+    root's ``(`` is the one that matches the last ``)``."""
+    depth = 0
+    for i in range(len(shape) - 1, -1, -1):
+        depth += 1 if shape[i] == ")" else -1
+        if depth == 0:
+            return shape[:i], shape[i + 1:-1]
 
-    return rec(skel, 0)
+
+def ref_decorate(word, shape):
+    if not shape:
+        return DLEAF
+    left, right = ref_split(shape)
+    root = left.count("(")
+    return DecoratedTree(ref_decorate(word[:root], left), word[root],
+                         ref_decorate(word[root + 1:], right))
 
 
 def ref_tree_factorial(t):
@@ -70,10 +76,6 @@ def ref_nested_key(t):
     if t.is_leaf:
         return (0,)
     return (t.order, ref_nested_key(t.left), t.letter, ref_nested_key(t.right))
-
-
-def ref_skeleton_string(s):
-    return "" if s.is_leaf else ref_skeleton_string(s.left) + "(" + ref_skeleton_string(s.right) + ")"
 
 
 def ref_tree_to_json(t):
@@ -147,17 +149,15 @@ def trees_up_to_8(draw):
 @WALK_SETTINGS
 @given(trees_up_to_8())
 def test_walks_equal_their_recursive_definitions(t):
-    skel = ref_skeleton(t)
-    assert skeleton(t) == skel
+    shape = ref_skeleton(t)
+    assert skeleton(t) == shape
     assert foliation(t) == ref_foliation(t)
-    assert decorate(foliation(t), skel) is ref_decorate(foliation(t), skel) is t
-    assert tree_factorial(t) == tree_factorial(skel) == ref_tree_factorial(t)
-    assert skeleton_string(skel) == ref_skeleton_string(skel)
+    assert decorate(foliation(t), shape) is ref_decorate(foliation(t), shape) is t
+    assert tree_factorial(shape) == ref_tree_factorial(t)
     assert tree_to_json(t) == ref_tree_to_json(t)
     assert tree_from_json(ref_tree_to_json(t)) is ref_tree_from_json(ref_tree_to_json(t)) is t
     assert render_tree_expr(t) == ref_render(t)
     assert repr(t) == f"DecoratedTree({ref_render(t)!r})"
-    assert repr(skel) == f"PlanarTree({ref_skeleton_string(skel)!r})"
     word = ParenthesisWord(tuple(ref_word_tokens(t)))
     assert delta_to_tree(word) is t
     assert np.array_equal(TreeEvaluator(U).values(t), ref_values(t, U))
@@ -185,21 +185,17 @@ def test_shared_evaluator_matches_fresh_ones():
 
 def test_every_walk_takes_100k_deep_combs():
     n = 100_000
-    for t, key, skel_text, expr in (
+    for t, key, shape, expr in (
         (left_comb((1,) * n), (*[v for k in range(n, 0, -1) for v in (k, 0, 1)], 0),
          "(" * n + ")" * n, "(x1<" * (n - 1) + "x1" + ")" * (n - 1)),
         (right_comb((1,) * n), (*range(n, -1, -1), *(1, 0) * n),
          "()" * n, "(" * (n - 1) + "x1" + ">x1)" * (n - 1)),
     ):
-        skel = skeleton(t)
-        assert skel.order == n
-        again = skeleton(t)  # another object: compared and hashed by value
-        assert again == skel and hash(again) == hash(skel)
+        assert skeleton(t) == shape
         assert foliation(t) == (1,) * n
-        assert decorate((1,) * n, skel) is t
-        assert tree_factorial(t) == math.factorial(n)
+        assert decorate(foliation(t), skeleton(t)) is t
+        assert tree_factorial(shape) == math.factorial(n)
         assert canonical_key(t) == key
-        assert repr(skel) == f"PlanarTree({skel_text!r})"  # skeleton_string
         assert tree_from_json(tree_to_json(t)) is t
         assert repr(t) == f"DecoratedTree({expr!r})"  # render_tree_expr
 
