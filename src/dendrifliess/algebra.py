@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterator, Mapping, Sequence
 
 from .trees import (
@@ -64,13 +65,24 @@ class ParseError(ValueError):
 class TreePolynomial:
     """Finite linear combination of decorated trees with rational coefficients.
 
-    Immutable; zero coefficients are never stored.
+    Immutable; zero coefficients are never stored.  The constructor makes each
+    coefficient a ``Fraction`` and refuses NaN and infinities with
+    ``ValueError``; the results of the arithmetic are built by ``_of``.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[DecoratedTree, Fraction] | None = None):
-        self._terms = {t: c for t, c in (terms or {}).items() if c}
+        coeffs = ((t, _rational(c)) for t, c in (terms or {}).items())
+        self._terms = {t: c for t, c in coeffs if c}
+
+    @classmethod
+    def _of(cls, terms: dict[DecoratedTree, Fraction]) -> "TreePolynomial":
+        """Wrap ``terms``, which must hold nonzero ``Fraction`` coefficients
+        only and belong to nobody else, without the constructor's copy."""
+        p = object.__new__(cls)
+        p._terms = terms
+        return p
 
     # construction helpers -------------------------------------------------
     @classmethod
@@ -103,10 +115,10 @@ class TreePolynomial:
         return DLEAF in self._terms
 
     def homogeneous_part(self, n: int) -> "TreePolynomial":
-        return TreePolynomial({t: c for t, c in self._terms.items() if t.order == n})
+        return TreePolynomial._of({t: c for t, c in self._terms.items() if t.order == n})
 
     def truncate(self, n: int) -> "TreePolynomial":
-        return TreePolynomial({t: c for t, c in self._terms.items() if t.order <= n})
+        return TreePolynomial._of({t: c for t, c in self._terms.items() if t.order <= n})
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -121,32 +133,55 @@ class TreePolynomial:
 
     # arithmetic -----------------------------------------------------------
     def __add__(self, other: "TreePolynomial") -> "TreePolynomial":
-        out = dict(self._terms)
-        for t, c in other._terms.items():
-            cur = out.get(t)
-            out[t] = c if cur is None else cur + c
-        return TreePolynomial(out)
+        return TreePolynomial._of(_accumulate(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "TreePolynomial") -> "TreePolynomial":
-        return self + (-other)
+        return TreePolynomial._of(_accumulate(
+            dict(self._terms), ((t, -c) for t, c in other._terms.items())))
 
     def __neg__(self) -> "TreePolynomial":
-        return TreePolynomial({t: -c for t, c in self._terms.items()})
+        return TreePolynomial._of({t: -c for t, c in self._terms.items()})
 
     def scale(self, k: Fraction) -> "TreePolynomial":
-        return TreePolynomial({t: k * c for t, c in self._terms.items()})
+        k = _rational(k)
+        return TreePolynomial._of({t: k * c for t, c in self._terms.items()} if k else {})
 
     def __rmul__(self, k) -> "TreePolynomial":
-        return self.scale(Fraction(k))
+        return self.scale(k)
 
     # serialization --------------------------------------------------------
     def to_json(self) -> list[dict]:
         return [{"coeff": str(c), "tree": tree_to_json(t)} for t, c in self.items()]
 
 
+def _rational(c) -> Fraction:
+    """``c`` as an exact ``Fraction``; NaN and infinities raise ``ValueError``."""
+    try:
+        return Fraction(c)
+    except (OverflowError, ValueError):
+        raise ValueError(f"coefficient {c!r} is not a finite rational") from None
+
+
+def _accumulate(out: dict[DecoratedTree, Fraction], terms) -> dict[DecoratedTree, Fraction]:
+    """Add the nonzero ``(tree, coeff)`` pairs of ``terms`` into ``out`` in
+    place, deleting a tree whose coefficient sums to zero; returns ``out``."""
+    for t, c in terms:
+        cur = out.get(t)
+        if cur is None:
+            out[t] = c
+        elif cur := cur + c:
+            out[t] = cur
+        else:
+            del out[t]
+    return out
+
+
 # ---------------------------------------------------------------------------
-# tree-level products (memoized)
+# tree-level products
 #
+# ``_shuffle_trees`` is the one memoized kernel.  It lists t1 sh t2 split at
+# the root, prec branch first, so the half-products are its two slices and
+# once a pair's shuffle is cached no product of that pair builds a tree.
 # Each tree product is a tuple of distinct trees, so the bilinear extension
 # needs no multiplicities: within one branch the graft is injective in the
 # shuffled subtree, and the two branches of the shuffle give roots whose left
@@ -176,24 +211,26 @@ def _shuffle_trees(t1: DecoratedTree, t2: DecoratedTree) -> tuple[DecoratedTree,
 
 
 def _prec_trees(t1: DecoratedTree, t2: DecoratedTree) -> tuple[DecoratedTree, ...]:
-    """t1^l v_x (t1^r sh t2); ``t1`` is not the leaf."""
-    return tuple(DecoratedTree(t1.left, t1.letter, s) for s in _shuffle_trees(t1.right, t2))
+    """t1^l v_x (t1^r sh t2), the prec branch of the root split of t1 sh t2:
+    its leading ``len(t1^r sh t2)`` trees.  ``t1`` is not the leaf."""
+    return _shuffle_trees(t1, t2)[:len(_shuffle_trees(t1.right, t2))]
 
 
 def _succ_trees(t1: DecoratedTree, t2: DecoratedTree) -> tuple[DecoratedTree, ...]:
-    """(t1 sh t2^l) v_y t2^r; ``t2`` is not the leaf."""
-    return tuple(DecoratedTree(s, t2.letter, t2.right) for s in _shuffle_trees(t1, t2.left))
+    """(t1 sh t2^l) v_y t2^r, the succ branch of the root split of t1 sh t2:
+    the trees after the prec branch, and ``t2`` alone when ``t1`` is the leaf.
+    ``t2`` is not the leaf."""
+    if t1.is_leaf:
+        return (t2,)
+    return _shuffle_trees(t1, t2)[len(_shuffle_trees(t1.right, t2)):]
 
 
 def _bilinear(p: TreePolynomial, q: TreePolynomial, tree_product) -> TreePolynomial:
     out: dict[DecoratedTree, Fraction] = {}
     for t1, c1 in p._terms.items():
         for t2, c2 in q._terms.items():
-            c = c1 * c2
-            for s in tree_product(t1, t2):
-                cur = out.get(s)
-                out[s] = c if cur is None else cur + c
-    return TreePolynomial(out)
+            _accumulate(out, zip(tree_product(t1, t2), repeat(c1 * c2)))
+    return TreePolynomial._of(out)
 
 
 def shuffle(p: TreePolynomial, q: TreePolynomial) -> TreePolynomial:

@@ -70,12 +70,12 @@ class DecoratedTree:
 
     Trees are hash-consed: ``DecoratedTree(left, letter, right)`` returns the
     live tree with those children and letter when there is one, so equal trees
-    are one object, ``==`` is ``is`` and the hash, computed once from the
-    children's, costs O(1) however deep the tree.  ``order`` is counted from
-    the children.
+    are one object.  Hence ``==`` is ``is`` and the hash is the identity hash,
+    both ``object``'s own C slots: O(1) however deep the tree, and no Python
+    call when a tree keys a dict.  ``order`` is counted from the children.
     """
 
-    __slots__ = ("left", "letter", "right", "order", "_hash", "__weakref__")
+    __slots__ = ("left", "letter", "right", "order", "__weakref__")
 
     def __new__(cls, left: "DecoratedTree | None" = None, letter: int | None = None,
                 right: "DecoratedTree | None" = None):
@@ -102,7 +102,6 @@ class DecoratedTree:
                 setattr_(node, "letter", letter)
                 setattr_(node, "right", right)
                 setattr_(node, "order", 0 if letter is None else left.order + right.order + 1)
-                setattr_(node, "_hash", hash((left, letter, right)))
                 _INTERNED[key] = node
         return node
 
@@ -110,11 +109,9 @@ class DecoratedTree:
         """Nothing to do: ``__new__`` builds or finds the node.  Defined in the
         class body so that profilers can wrap construction by name."""
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
+    # named in the class body so that profilers can wrap them by name
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"DecoratedTree is immutable; cannot set {name!r}")

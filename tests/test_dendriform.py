@@ -1,9 +1,11 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from dendrifliess import trees
 from dendrifliess.algebra import (
     DendriformError,
     ParseError,
@@ -19,8 +21,17 @@ from dendrifliess.algebra import (
     shuffle,
     succ,
 )
+from dendrifliess.algebra import _prec_trees, _shuffle_trees, _succ_trees
 from dendrifliess.operators import terms_from_json
-from dendrifliess.trees import DLEAF, catalan, decorate, enumerate_trees, graft
+from dendrifliess.trees import (
+    DLEAF,
+    catalan,
+    decorate,
+    enumerate_trees,
+    graft,
+    left_comb,
+    right_comb,
+)
 
 
 def x(i: int) -> TreePolynomial:
@@ -67,6 +78,53 @@ def test_half_products_have_disjoint_supports():
             left, right = prec(a, b), succ(a, b)
             assert not left.support() & right.support()
             assert all(c == 1 for _, c in shuffle(a, b).items())
+
+
+def test_sliced_kernels_match_graft_definitions():
+    # t1 < t2 = t1^l v (t1^r sh t2) and t1 > t2 = (t1 sh t2^l) v t2^r, grafted
+    # here tree by tree, against the two slices of the cached shuffle
+    def graft_prec(t1, t2):
+        return tuple(graft(t1.left, t1.letter, s) for s in _shuffle_trees(t1.right, t2))
+
+    def graft_succ(t1, t2):
+        return tuple(graft(s, t2.letter, t2.right) for s in _shuffle_trees(t1, t2.left))
+
+    small = [decorate(word, shape) for n in range(4) for shape in enumerate_trees(n)
+             for word in itertools.product((1, 2), repeat=n)]
+    assert len(small) == 1 + 2 + 8 + 40
+    left, right = left_comb((1, 2) * 25), right_comb((2, 1) * 25)
+    # each comb pair shuffles one vertex of one spine into the other: 51 trees
+    pairs = list(itertools.product(small, repeat=2)) + [
+        (left, left), (right, right), (right, left), (left, small[11]), (small[-1], right)]
+
+    def kernels(t1, t2):
+        return (None if t1.is_leaf else _prec_trees(t1, t2),
+                None if t2.is_leaf else _succ_trees(t1, t2))
+
+    first = []
+    for t1, t2 in pairs:
+        lo, hi = kernels(t1, t2)
+        if lo is not None:
+            assert lo == graft_prec(t1, t2)
+        if hi is not None:
+            assert hi == graft_succ(t1, t2)
+        if lo is not None and hi is not None:
+            assert lo + hi == _shuffle_trees(t1, t2)
+        first.append((lo, hi))
+    known = set(trees._INTERNED.keys())
+    builds = 0
+
+    def count_builds(frame, event, arg):  # a profiler sees every DecoratedTree(...) call
+        nonlocal builds
+        builds += event == "call" and frame.f_code is trees.DecoratedTree.__new__.__code__
+
+    sys.setprofile(count_builds)
+    try:
+        again = [kernels(t1, t2) for t1, t2 in pairs]
+    finally:
+        sys.setprofile(None)
+    assert again == first
+    assert builds == 0 and set(trees._INTERNED.keys()) <= known
 
 
 def test_dendriform_axioms_exact():
@@ -123,6 +181,28 @@ def test_char_recursion_and_support():
 def test_polynomial_zero_coefficients_dropped():
     p = x(1) - x(1)
     assert p.is_zero() and len(p) == 0
+
+
+def test_polynomial_coefficients_are_exact_rationals():
+    t = graft(DLEAF, 1, DLEAF)
+    p = TreePolynomial({t: 0.1})
+    assert p.coefficient(t) == Fraction(0.1)
+    assert p.to_json()[0]["coeff"] == str(Fraction(0.1))
+    for got in (p, shuffle(p, x(2)), prec(p, x(2)), succ(p, x(2)), p + p, p - x(1),
+                -p, p.scale(0.5), 2.5 * p, TreePolynomial.single(t, 3)):
+        assert all(type(c) is Fraction for _, c in got.items())
+    assert p.scale(0.0).is_zero()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_polynomial_refuses_non_finite_coefficients(bad):
+    t = graft(DLEAF, 1, DLEAF)
+    with pytest.raises(ValueError, match="not a finite rational"):
+        TreePolynomial({t: bad})
+    with pytest.raises(ValueError, match="not a finite rational"):
+        TreePolynomial.single(t, bad)
+    with pytest.raises(ValueError, match="not a finite rational"):
+        x(1).scale(bad)
 
 
 def test_polynomial_scale_and_truncate():

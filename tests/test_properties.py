@@ -1,15 +1,25 @@
 """Property tests: the dendriform identities on random rational polynomials,
 and the JSON round-trips of series records."""
 
+import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dendrifliess.algebra import TreePolynomial, prec, shuffle, succ
+from dendrifliess.algebra import (
+    TreePolynomial,
+    _prec_trees,
+    _shuffle_trees,
+    _succ_trees,
+    prec,
+    shuffle,
+    succ,
+)
 from dendrifliess.operators import terms_from_json
-from dendrifliess.trees import decorate, enumerate_trees, tree_to_json
+from dendrifliess.trees import DLEAF, decorate, enumerate_trees, graft, tree_to_json
 
 # deterministic and bounded, so the suite stays reproducible and quick
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None,
@@ -38,6 +48,49 @@ def test_dendriform_identities(a, b, c):
     assert succ(a, succ(b, c)) == succ(shuffle(a, b), c)
     assert prec(a, b) + succ(a, b) == shuffle(a, b)
     assert shuffle(shuffle(a, b), c) == shuffle(a, shuffle(b, c))
+
+
+#: the leaf and the trees of order 1-2 over x1, x2: few enough that terms collide
+FEW_TREES = [decorate(word, shape) for n in range(3) for shape in enumerate_trees(n)
+             for word in itertools.product((1, 2), repeat=n)]
+small_integer_polynomials = st.dictionaries(
+    st.sampled_from(FEW_TREES), st.integers(-2, 2), max_size=6).map(TreePolynomial)
+
+
+def _filtered(terms) -> TreePolynomial:
+    """Sum ``(tree, coeff)`` pairs with zeros kept, then filter them out
+    through the public constructor."""
+    out: dict = {}
+    for t, c in terms:
+        out[t] = out.get(t, 0) + c
+    return TreePolynomial(out)
+
+
+def _filtered_product(p, q, tree_product) -> TreePolynomial:
+    return _filtered((t, c1 * c2) for t1, c1 in p.items() for t2, c2 in q.items()
+                     for t in tree_product(t1, t2))
+
+
+X1, X2 = graft(DLEAF, 1, DLEAF), graft(DLEAF, 2, DLEAF)
+X1_X2 = graft(DLEAF, 1, X2)
+
+
+@PROPERTY_SETTINGS
+@given(small_integer_polynomials, small_integer_polynomials)
+# the shuffle reaches (x1<x2) three times, in this order: leaf sh (x1<x2) (+1),
+# x1 sh x2 (-1, so the term cancels) and (x1<x2) sh leaf (+1, so it comes back)
+@example(TreePolynomial({DLEAF: 1, X1: -1, X1_X2: 1}),
+         TreePolynomial({X1_X2: 1, X2: 1, DLEAF: 1}))
+def test_results_store_no_zero_coefficient(p, q):
+    p_, q_ = (TreePolynomial({t: c for t, c in r.items() if t is not DLEAF}) for r in (p, q))
+    for got, want in (
+            (shuffle(p, q), _filtered_product(p, q, _shuffle_trees)),
+            (prec(p_, q), _filtered_product(p_, q, _prec_trees)),
+            (succ(p, q_), _filtered_product(p, q_, _succ_trees)),
+            (p + q, _filtered([*p.items(), *q.items()])),
+            (p - q, _filtered([*p.items(), *((t, -c) for t, c in q.items())]))):
+        assert all(type(c) is Fraction and c for c in got._terms.values())
+        assert got == want
 
 
 @PROPERTY_SETTINGS
