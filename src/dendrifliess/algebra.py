@@ -2,8 +2,9 @@
 
 Dendriform words are stored canonically as decorated trees (the tree
 isomorphism is applied eagerly), so equality of words is plain tree
-equality.  This is an algebra over the rationals: polynomials carry exact
-``Fraction`` coefficients only.  Matrix coefficients belong to generating
+equality.  This is an algebra over the rationals: a polynomial stores its
+coefficients as integer numerators over one common denominator and reads
+them out as exact ``Fraction``s.  Matrix coefficients belong to generating
 series (:mod:`.operators`), which apply them when an operator is evaluated.
 
 Products provided: the two dendriform half-products ``prec`` / ``succ``,
@@ -12,6 +13,7 @@ their associative sum ``shuffle`` and the pre-Lie combination ``pre_lie``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,23 +67,36 @@ class ParseError(ValueError):
 class TreePolynomial:
     """Finite linear combination of decorated trees with rational coefficients.
 
-    Immutable; zero coefficients are never stored.  The constructor makes each
+    Immutable.  Stored as integer numerators ``_nums`` over one denominator
+    ``_den`` in lowest terms: ``_den > 0``, no zero numerator and
+    ``gcd(_den, *_nums.values()) == 1``, so equal polynomials hold equal data.
+    Coefficients are read as ``Fraction``s.  The constructor makes each
     coefficient a ``Fraction`` and refuses NaN and infinities with
     ``ValueError``; the results of the arithmetic are built by ``_of``.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[DecoratedTree, Fraction] | None = None):
-        coeffs = ((t, _rational(c)) for t, c in (terms or {}).items())
-        self._terms = {t: c for t, c in coeffs if c}
+        coeffs = {t: _rational(c) for t, c in (terms or {}).items()}
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        # lowest terms already: each prime power in ``den`` exactly divides
+        # the denominator of a coefficient whose numerator it does not divide
+        self._nums = {t: c.numerator * (den // c.denominator)
+                      for t, c in coeffs.items() if c}
+        self._den = den
 
     @classmethod
-    def _of(cls, terms: dict[DecoratedTree, Fraction]) -> "TreePolynomial":
-        """Wrap ``terms``, which must hold nonzero ``Fraction`` coefficients
-        only and belong to nobody else, without the constructor's copy."""
+    def _of(cls, nums: dict[DecoratedTree, int], den: int) -> "TreePolynomial":
+        """``nums / den`` in lowest terms.  ``nums`` must hold nonzero ints only
+        and belong to nobody else; ``den`` must be positive."""
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {t: n // g for t, n in nums.items()}
         p = object.__new__(cls)
-        p._terms = terms
+        p._nums, p._den = nums, den
         return p
 
     # construction helpers -------------------------------------------------
@@ -100,51 +115,57 @@ class TreePolynomial:
 
     # inspection -----------------------------------------------------------
     def coefficient(self, tree: DecoratedTree) -> Fraction:
-        return self._terms.get(tree, Fraction(0))
+        return Fraction(self._nums.get(tree, 0), self._den)
 
     def support(self) -> set[DecoratedTree]:
-        return set(self._terms)
+        return set(self._nums)
 
     def items(self) -> Iterator[tuple[DecoratedTree, Fraction]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: canonical_key(kv[0])))
+        den = self._den
+        return iter([(t, Fraction(self._nums[t], den))
+                     for t in sorted(self._nums, key=canonical_key)])
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def has_leaf_term(self) -> bool:
-        return DLEAF in self._terms
+        return DLEAF in self._nums
 
     def homogeneous_part(self, n: int) -> "TreePolynomial":
-        return TreePolynomial._of({t: c for t, c in self._terms.items() if t.order == n})
+        return TreePolynomial._of(
+            {t: c for t, c in self._nums.items() if t.order == n}, self._den)
 
     def truncate(self, n: int) -> "TreePolynomial":
-        return TreePolynomial._of({t: c for t, c in self._terms.items() if t.order <= n})
+        return TreePolynomial._of(
+            {t: c for t, c in self._nums.items() if t.order <= n}, self._den)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreePolynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __repr__(self) -> str:
         return f"TreePolynomial({render_polynomial(self)})"
 
     # arithmetic -----------------------------------------------------------
     def __add__(self, other: "TreePolynomial") -> "TreePolynomial":
-        return TreePolynomial._of(_accumulate(dict(self._terms), other._terms.items()))
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "TreePolynomial") -> "TreePolynomial":
-        return TreePolynomial._of(_accumulate(
-            dict(self._terms), ((t, -c) for t, c in other._terms.items())))
+        return _sum(self, other, -1)
 
     def __neg__(self) -> "TreePolynomial":
-        return TreePolynomial._of({t: -c for t, c in self._terms.items()})
+        return TreePolynomial._of({t: -c for t, c in self._nums.items()}, self._den)
 
     def scale(self, k: Fraction) -> "TreePolynomial":
         k = _rational(k)
-        return TreePolynomial._of({t: k * c for t, c in self._terms.items()} if k else {})
+        if not k:
+            return TreePolynomial()
+        return TreePolynomial._of({t: k.numerator * c for t, c in self._nums.items()},
+                                  k.denominator * self._den)
 
     def __rmul__(self, k) -> "TreePolynomial":
         return self.scale(k)
@@ -162,9 +183,9 @@ def _rational(c) -> Fraction:
         raise ValueError(f"coefficient {c!r} is not a finite rational") from None
 
 
-def _accumulate(out: dict[DecoratedTree, Fraction], terms) -> dict[DecoratedTree, Fraction]:
-    """Add the nonzero ``(tree, coeff)`` pairs of ``terms`` into ``out`` in
-    place, deleting a tree whose coefficient sums to zero; returns ``out``."""
+def _accumulate(out: dict[DecoratedTree, int], terms) -> dict[DecoratedTree, int]:
+    """Add the nonzero ``(tree, numerator)`` pairs of ``terms`` into ``out`` in
+    place, deleting a tree whose numerator sums to zero; returns ``out``."""
     for t, c in terms:
         cur = out.get(t)
         if cur is None:
@@ -174,6 +195,14 @@ def _accumulate(out: dict[DecoratedTree, Fraction], terms) -> dict[DecoratedTree
         else:
             del out[t]
     return out
+
+
+def _sum(p: TreePolynomial, q: TreePolynomial, sign: int) -> TreePolynomial:
+    """p + sign * q, with both numerators brought to the lcm of the denominators."""
+    den = math.lcm(p._den, q._den)
+    a, b = den // p._den, sign * (den // q._den)
+    out = {t: a * c for t, c in p._nums.items()} if a != 1 else dict(p._nums)
+    return TreePolynomial._of(_accumulate(out, ((t, b * c) for t, c in q._nums.items())), den)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +255,13 @@ def _succ_trees(t1: DecoratedTree, t2: DecoratedTree) -> tuple[DecoratedTree, ..
 
 
 def _bilinear(p: TreePolynomial, q: TreePolynomial, tree_product) -> TreePolynomial:
-    out: dict[DecoratedTree, Fraction] = {}
-    for t1, c1 in p._terms.items():
-        for t2, c2 in q._terms.items():
+    """The bilinear extension of ``tree_product``: integer numerators over
+    ``p._den * q._den``, reduced once at the end."""
+    out: dict[DecoratedTree, int] = {}
+    for t1, c1 in p._nums.items():
+        for t2, c2 in q._nums.items():
             _accumulate(out, zip(tree_product(t1, t2), repeat(c1 * c2)))
-    return TreePolynomial._of(out)
+    return TreePolynomial._of(out, p._den * q._den)
 
 
 def shuffle(p: TreePolynomial, q: TreePolynomial) -> TreePolynomial:

@@ -79,7 +79,7 @@ class TreeEvaluator:
         self._eye = np.broadcast_to(
             np.eye(u.dim), (u.num_steps + 1, u.dim, u.dim))
         self._cache: dict[DecoratedTree, np.ndarray] = {DLEAF: self._eye}
-        self._sums: dict[int, list[np.ndarray]] = {}
+        self._sums: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
 
     def values(self, t: DecoratedTree) -> np.ndarray:
         cache, u = self._cache, self.u
@@ -118,10 +118,10 @@ class TreeEvaluator:
         """S_n, the sum of E_eta over all trees of order ``n`` with letters
         x0..xm, by the root split: S_0 = I, S_k = trapezoid(sum_j S_j U S_{k-1-j})
         with U = u_0 + ... + u_m.  The trapezoid is linear, so this equals the
-        tree-by-tree sum on the grid; S_0..S_n are kept per ``m``."""
-        sums = self._sums.setdefault(m, [self._eye])
-        if len(sums) <= n:
-            big_u = sum(self.u.channel(i) for i in range(m + 1))
+        tree-by-tree sum on the grid; U and S_0..S_n are kept per ``m``."""
+        if m not in self._sums:
+            self._sums[m] = sum(self.u.channel(i) for i in range(m + 1)), [self._eye]
+        big_u, sums = self._sums[m]
         while len(sums) <= n:
             k = len(sums)
             integrand = sum(sums[j] @ big_u @ sums[k - 1 - j] for j in range(k))

@@ -292,6 +292,7 @@ def magnus_generating_series(order: int,
     d = {1: x1}
     # levels[j][n] is L_n^(j), the degree-n component of the j-fold bracket
     levels: list[dict[int, TreePolynomial]] = [{1: x1}] + [{} for _ in range(1, order)]
+    weights = [b / math.factorial(j) for j, b in enumerate(_bernoulli_table(order))]
     for n in range(2, order + 1):
         d[n] = TreePolynomial()
         for j in range(1, n):
@@ -299,7 +300,7 @@ def magnus_generating_series(order: int,
             levels[j][n] = sum((bracket(d[m], prev[n - m])
                                 for m in range(1, n - j + 1) if n - m in prev),
                                TreePolynomial())
-            d[n] = d[n] + levels[j][n].scale(bernoulli(j) / Fraction(math.factorial(j)))
+            d[n] = d[n] + levels[j][n].scale(weights[j])
     return MagnusSeries(order, order, sum(d.values(), TreePolynomial()), orientation)
 
 

@@ -3,6 +3,7 @@ and the JSON round-trips of series records."""
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,12 +15,20 @@ from dendrifliess.algebra import (
     _prec_trees,
     _shuffle_trees,
     _succ_trees,
+    pre_lie,
     prec,
     shuffle,
     succ,
 )
 from dendrifliess.operators import terms_from_json
-from dendrifliess.trees import DLEAF, decorate, enumerate_trees, graft, tree_to_json
+from dendrifliess.trees import (
+    DLEAF,
+    canonical_key,
+    decorate,
+    enumerate_trees,
+    graft,
+    tree_to_json,
+)
 
 # deterministic and bounded, so the suite stays reproducible and quick
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None,
@@ -89,8 +98,66 @@ def test_results_store_no_zero_coefficient(p, q):
             (succ(p, q_), _filtered_product(p, q_, _succ_trees)),
             (p + q, _filtered([*p.items(), *q.items()])),
             (p - q, _filtered([*p.items(), *((t, -c) for t, c in q.items())]))):
-        assert all(type(c) is Fraction and c for c in got._terms.values())
+        assert all(type(c) is Fraction and c for _, c in got.items())
+        assert _in_lowest_terms(got)
         assert got == want
+
+
+def _in_lowest_terms(p: TreePolynomial) -> bool:
+    """The stored form: nonzero integer numerators over a positive
+    denominator that shares no factor with all of them."""
+    return (p._den > 0 and all(type(c) is int and c for c in p._nums.values())
+            and math.gcd(p._den, *p._nums.values()) == 1)
+
+
+def _reference(terms) -> list:
+    """Sum ``(tree, Fraction)`` pairs in a ``Fraction`` dict and list the
+    nonzero ones in ``items()`` order."""
+    out: dict = {}
+    for t, c in terms:
+        out[t] = out.get(t, Fraction(0)) + c
+    return sorted(((t, c) for t, c in out.items() if c), key=lambda kv: canonical_key(kv[0]))
+
+
+def _reference_product(p, q, tree_product) -> list:
+    return _reference((t, c1 * c2) for t1, c1 in p.items() for t2, c2 in q.items()
+                      for t in tree_product(t1, t2))
+
+
+rational_polynomials = st.dictionaries(
+    st.sampled_from(FEW_TREES),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)), max_size=6).map(TreePolynomial)
+
+
+@PROPERTY_SETTINGS
+@given(rational_polynomials, rational_polynomials, st.sampled_from(FEW_TREES),
+       st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)), st.integers(0, 2))
+def test_integer_numerators_match_fraction_reference(p, q, tree, k, n):
+    p_, q_ = (TreePolynomial({t: c for t, c in r.items() if t is not DLEAF}) for r in (p, q))
+    cases = [
+        (shuffle(p, q), _reference_product(p, q, _shuffle_trees)),
+        (prec(p_, q), _reference_product(p_, q, _prec_trees)),
+        (succ(p, q_), _reference_product(p, q_, _succ_trees)),
+        (pre_lie(p_, q_), _reference([*_reference_product(p_, q_, _prec_trees),
+                                      *((t, -c) for t, c in _reference_product(
+                                          p_, q_, _succ_trees))])),
+        (p + q, _reference([*p.items(), *q.items()])),
+        (p - q, _reference([*p.items(), *((t, -c) for t, c in q.items())])),
+        (p.scale(k), _reference((t, k * c) for t, c in p.items())),
+        (p.truncate(n), _reference((t, c) for t, c in p.items() if t.order <= n)),
+        (p.homogeneous_part(n), _reference((t, c) for t, c in p.items() if t.order == n)),
+        (p + TreePolynomial.single(tree, k), _reference([*p.items(), (tree, k)])),
+    ]
+    for got, want in cases:
+        assert list(got.items()) == want
+        assert all(type(c) is Fraction for _, c in got.items())
+        assert _in_lowest_terms(got)
+    # == is equality of the coefficients, however a polynomial was built
+    for (x, _), (y, _) in itertools.product(cases, repeat=2):
+        assert (x == y) == (list(x.items()) == list(y.items()))
+    assert p.scale(2).scale(Fraction(1, 2)) == p
+    assert (p + q) - q == p
+    assert p.scale(k) == TreePolynomial({t: k * c for t, c in p.items()})
 
 
 @PROPERTY_SETTINGS
