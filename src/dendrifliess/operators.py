@@ -48,6 +48,7 @@ __all__ = [
     "product_connection",
     "bernoulli",
     "magnus_generating_series",
+    "magnus_exponent",
     "magnus_evaluate",
     "resolve_pre_lie_orientation",
     "matrix_exp",
@@ -87,9 +88,18 @@ def evaluate_fliess(c: GeneratingSeries, u: MatrixSignal, order: int) -> Evaluat
     result's ``increments`` are the order-by-order sums."""
     if order < 0:
         raise ValueError(f"truncation order must be >= 0, got {order}")
+    bad = {np.shape(v) for v in (c.terms or {}).values() if isinstance(v, np.ndarray)}
+    bad.discard((u.dim, u.dim))
+    if bad:
+        rows, cols = min(bad)
+        raise SignalError(f"a {rows}x{cols} coefficient cannot act on the "
+                          f"{u.dim}x{u.dim} values of the signal")
     ev = TreeEvaluator(u)
     increments = [c.order_sum(ev, n) for n in range(order + 1)]
-    return EvaluationResult(u.grid, sum(increments[1:], increments[0]), increments)
+    values = increments[0].copy()
+    for inc in increments[1:]:
+        values += inc
+    return EvaluationResult(u.grid, values, increments)
 
 
 @dataclass(frozen=True)
@@ -190,6 +200,8 @@ def terms_from_json(data: list[dict]) -> dict[DecoratedTree, Coefficient]:
     for k, rec in enumerate(data):
         try:
             raw = rec["coeff"]
+            if isinstance(raw, bool):
+                raise TypeError(f"a coeff is a number, a string or a matrix, got {raw!r}")
             coeff = np.array(raw, dtype=float) if isinstance(raw, list) else Fraction(raw)
             tree = tree_from_json(rec["tree"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -228,7 +240,7 @@ def bernoulli(n: int) -> Fraction:
     """n-th Bernoulli number (B1 = -1/2), exact."""
     if n < 0 or n > BERNOULLI_CAP:
         raise ValueError(f"Bernoulli index must be in 0..{BERNOULLI_CAP}")
-    return _bernoulli_table(n)[n]
+    return _BERNOULLI[n]
 
 
 def _bernoulli_table(n: int) -> list[Fraction]:
@@ -242,6 +254,9 @@ def _bernoulli_table(n: int) -> list[Fraction]:
             acc += math.comb(k + 1, j) * table[j]
         table.append(-acc / (k + 1))
     return table
+
+
+_BERNOULLI = _bernoulli_table(BERNOULLI_CAP)
 
 
 #: bracket orientations selectable in the exponent recursion.  "standard"
@@ -271,6 +286,8 @@ class MagnusSeries:
 
 
 MAGNUS_ORDER_CAP = 8
+#: B_j / j!, the weight of the j-fold bracket in the exponent recursion
+_MAGNUS_WEIGHTS = [b / math.factorial(j) for j, b in enumerate(_BERNOULLI[:MAGNUS_ORDER_CAP])]
 
 
 def magnus_generating_series(order: int,
@@ -292,7 +309,6 @@ def magnus_generating_series(order: int,
     d = {1: x1}
     # levels[j][n] is L_n^(j), the degree-n component of the j-fold bracket
     levels: list[dict[int, TreePolynomial]] = [{1: x1}] + [{} for _ in range(1, order)]
-    weights = [b / math.factorial(j) for j, b in enumerate(_bernoulli_table(order))]
     for n in range(2, order + 1):
         d[n] = TreePolynomial()
         for j in range(1, n):
@@ -300,17 +316,22 @@ def magnus_generating_series(order: int,
             levels[j][n] = sum((bracket(d[m], prev[n - m])
                                 for m in range(1, n - j + 1) if n - m in prev),
                                TreePolynomial())
-            d[n] = d[n] + levels[j][n].scale(weights[j])
+            d[n] = d[n] + levels[j][n].scale(_MAGNUS_WEIGHTS[j])
     return MagnusSeries(order, order, sum(d.values(), TreePolynomial()), orientation)
+
+
+def magnus_exponent(series: MagnusSeries, u: MatrixSignal) -> EvaluationResult:
+    """The exponent evaluated on the grid of a single-channel signal."""
+    if u.m != 1:
+        raise SignalError("the exponent recursion is single-channel")
+    return evaluate_polynomial(series.poly, u)
 
 
 def magnus_evaluate(series: MagnusSeries,
                     u: MatrixSignal) -> tuple[EvaluationResult, np.ndarray]:
     """Evaluate the exponent on the grid and exponentiate every node in one
     batched pass."""
-    if u.m != 1:
-        raise SignalError("the exponent recursion is single-channel")
-    omega = evaluate_polynomial(series.poly, u)
+    omega = magnus_exponent(series, u)
     return omega, expm_stack(omega.values)
 
 
@@ -385,42 +406,59 @@ def rk4_reference(u: MatrixSignal, refinement: int = 1) -> np.ndarray:
     """Classical Runge-Kutta flow of Zdot = U(t) Z, Z(0) = I, on the coarse grid.
 
     The system matrix is channel 1, linearly interpolated onto a grid
-    ``refinement`` times denser.  The ODE is linear, so fine step j is
-    Z <- P_j Z with P_j = I + h/6 (K1 + 2 K2 + 2 K3 + K4), where K1 = A1,
-    K2 = A2 (I + h/2 K1), K3 = A2 (I + h/2 K2), K4 = A4 (I + h K3) and A1, A2,
-    A4 are U at the step's start, middle and end.  All P_j are built in one
-    stacked pass, each block of ``refinement`` of them is multiplied into one
-    coarse propagator, and the flow is the running product of those, each
-    propagator held as its difference from I.  No matrix exponential is
-    taken, so the oracle stays independent of :func:`expm_stack`.
+    ``refinement`` times denser from each coarse step's two end values.  The
+    ODE is linear, so fine step j is Z <- P_j Z with
+    P_j = I + h/6 (K1 + 2 K2 + 2 K3 + K4), where K1 = A1, K2 = A2 (I + h/2 K1),
+    K3 = A2 (I + h/2 K2), K4 = A4 (I + h K3) and A1, A2, A4 are U at the
+    step's start, middle and end.  All P_j are built in one stacked pass, each
+    block of ``refinement`` of them is multiplied into one coarse propagator,
+    and the flow is the running product of those, taken as a two-level scan
+    (Blelloch, "Prefix sums and their applications", 1990): products within
+    blocks of floor(sqrt(N)) steps, stacked over the blocks, then over the
+    block totals, then one stacked combine.  Each propagator is held as its
+    difference from I.  No matrix exponential is taken, so the oracle stays
+    independent of :func:`expm_stack`.
     """
     if refinement < 1:
         raise ValueError("refinement must be >= 1")
     big_u = u.channel(1)
-    fine = u.num_steps * refinement
-    hf = u.horizon / fine
-    # channel values at half-step resolution via linear interpolation
-    tt = np.linspace(0.0, u.horizon, 2 * fine + 1)
-    pos = tt / u.h
-    idx = np.minimum(pos.astype(int), u.num_steps - 1)
-    frac = (pos - idx)[:, None, None]
-    u_half = (1.0 - frac) * big_u[idx] + frac * big_u[idx + 1]
+    n, d = u.num_steps, u.dim
+    hf = u.horizon / (n * refinement)
+    # (n, 2 * refinement + 1, d, d): the weights (1 - w, w) on each step's ends
+    w = np.arange(2 * refinement + 1) / (2 * refinement)
+    ends = np.stack([big_u[:-1], big_u[1:]], axis=1).reshape(n, 2, d * d)
+    u_half = (np.stack([1.0 - w, w], axis=1) @ ends).reshape(n, -1, d, d)
 
-    eye = np.eye(u.dim)
-    a1, a2, a4 = u_half[:-1:2], u_half[1::2], u_half[2::2]
-    k2 = a2 @ (eye + 0.5 * hf * a1)
-    k3 = a2 @ (eye + 0.5 * hf * k2)
-    k4 = a4 @ (eye + hf * k3)
+    eye = np.eye(d)
+    a1, a2, a4 = u_half[:, :-1:2], u_half[:, 1::2], u_half[:, 2::2]
     # each propagator is kept as its difference from I, so the small steps are
-    # not rounded against 1: (I + D)(I + C) = I + (C + D + D C)
-    steps = (hf / 6.0 * (a1 + 2.0 * k2 + 2.0 * k3 + k4)).reshape(
-        u.num_steps, refinement, u.dim, u.dim)
+    # not rounded against 1: (I + D)(I + C) = I + (C + D + D C).  The fine
+    # steps' differences h/6 (K1 + 2 K2 + 2 K3 + K4) add up as each K is formed
+    k = a2 @ (eye + 0.5 * hf * a1)
+    steps = a1 + 2.0 * k
+    k = a2 @ (eye + 0.5 * hf * k)
+    steps += 2.0 * k
+    k = a4 @ (eye + hf * k)
+    steps += k
+    steps *= hf / 6.0
     coarse = steps[:, 0]
     for r in range(1, refinement):
         coarse = coarse + steps[:, r] + steps[:, r] @ coarse
-    z = eye
-    out = [z]
-    for step in coarse:
-        z = z + step @ z
-        out.append(z)
-    return np.stack(out)
+
+    size = math.isqrt(n)
+    blocks = -(-n // size)
+    scan = np.zeros((blocks * size, d, d))  # the last block padded with identities
+    scan[:n] = coarse
+    scan = scan.reshape(blocks, size, d, d)
+    # scan[b, i] becomes the product of steps 0..i of block b, less I
+    for i in range(1, size):
+        scan[:, i] += scan[:, i - 1] + scan[:, i] @ scan[:, i - 1]
+    # before[b] is the product of the blocks ahead of block b, less I
+    before = np.zeros((blocks, d, d))
+    for b in range(1, blocks):
+        total = scan[b - 1, -1]
+        before[b] = before[b - 1] + total + total @ before[b - 1]
+    flow = np.empty((n + 1, d, d))
+    flow[0] = eye
+    flow[1:] = (eye + before[:, None] + scan + scan @ before[:, None]).reshape(-1, d, d)[:n]
+    return flow

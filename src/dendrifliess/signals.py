@@ -61,7 +61,9 @@ def stack_norm1(values: np.ndarray) -> np.ndarray:
 def trapezoid_prefix(g: np.ndarray, h: float) -> np.ndarray:
     """Running composite-trapezoid integral along axis 0; result[0] = 0."""
     c = np.cumsum(g, axis=0)
-    return h * (c - 0.5 * (g + g[0]))
+    c -= 0.5 * (g + g[0])
+    c *= h
+    return c
 
 
 @dataclass(frozen=True, eq=False)

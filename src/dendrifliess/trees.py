@@ -301,7 +301,10 @@ def tree_from_json(obj: dict | None) -> DecoratedTree:
         elif stage == 0:
             todo += ((o, 1), (o["l"], 0))
         elif stage == 1:
-            out.append(int(o["x"]))
+            letter = o["x"]
+            if type(letter) is not int:  # no bool, float or string letter
+                raise TypeError(f"a letter is a JSON integer, got {letter!r}")
+            out.append(letter)
             todo += ((o, 2), (o["r"], 0))
         else:
             right, letter = out.pop(), out.pop()

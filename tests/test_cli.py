@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from dendrifliess import algebra, cli, integrals, signals, trees
+from dendrifliess import algebra, cli, integrals, operators, signals, trees
 
 
 def run(capsys, *argv):
@@ -67,6 +67,29 @@ def test_usage_error_exit_code(capsys):
         cli.run(["trees", "enum"])  # missing --order
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # run in one process, one after the other, each call must print and exit
+    # as it does in a process of its own, with a parser built for it alone
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help to
+    fliess = ["fliess", "eval", "--series", "dyson:2", "--signal", "const:0.5",
+              "--order", "2", "--grid", "8"]
+    calls = [["--help"], ["fliess", "eval", "--order", "x"],
+             [*fliess, "--certificate"], fliess]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for argv in calls:
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "dendrifliess.cli", *argv],
+                               capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": src})
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr)
+    assert "available" not in captured.out  # the last call asked for no certificate
 
 
 def test_eval_tree_to_csv(capsys, tmp_path):
@@ -201,6 +224,44 @@ def test_fliess_bad_matrix_series_file(capsys, tmp_path, document, message):
                          "--order", "2", "--grid", "32")
     assert code == 1 and out == ""
     assert message in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("record", [
+    {"coeff": True, "tree": {"l": None, "x": 1, "r": None}},
+    {"coeff": "1", "tree": {"l": None, "x": 1.5, "r": None}},
+    {"coeff": "1", "tree": {"l": None, "x": "1", "r": None}},
+], ids=["bool-coeff", "float-letter", "string-letter"])
+def test_fliess_series_record_read_strictly(capsys, tmp_path, record):
+    # none of these is read as x1 with coefficient 1
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps([{"coeff": 0.5, "tree": X1}, record]))
+    argv = ["fliess", "eval", "--series", str(path), "--signal", "const:1.0",
+            "--order", "2", "--grid", "32"]
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"].startswith("bad series record 1: ")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error: bad series record 1: ")
+
+
+def test_fliess_coefficient_shape_must_match_the_signal(capsys, tmp_path):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps([{"coeff": [[1.0, 0.0], [0.0, 2.0]], "tree": X1}]))
+    code, out, err = run(capsys, "--json", "fliess", "eval", "--series", str(path),
+                         "--signal", "const:1.0", "--order", "1", "--grid", "32")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "a 2x2 coefficient cannot act on the 1x1 values of the signal"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["fliess", "eval", "--series", "dyson:3", "--signal", "const:1.0", "--order", "3"],
+    ["magnus", "--signal", "spin:1.0,rot"],
+], ids=["fliess", "magnus"])
+def test_negative_grid_is_named(capsys, argv):
+    code, out, err = run(capsys, "--json", *argv, "--grid", "-3")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "--grid must be a positive number of steps, got -3"}
 
 
 def test_fliess_zero_record_outside_alphabet_dropped(capsys, tmp_path):
@@ -346,6 +407,23 @@ def test_magnus_json(capsys):
     payload = json.loads(out)
     assert payload["orientation"] == "standard"
     assert payload["deviation"] < 1e-1
+
+
+def test_magnus_exponentiates_only_the_horizon(capsys, monkeypatch):
+    u = signals.spin_field(0.5, "rot", 1.0, 128)
+    _, z = operators.magnus_evaluate(operators.magnus_generating_series(2), u)
+    sizes = []
+    expm_stack = operators.expm_stack
+
+    def counting(values):
+        sizes.append(len(values))
+        return expm_stack(values)
+
+    monkeypatch.setattr(operators, "expm_stack", counting)
+    code, out, _ = run(capsys, "--json", "magnus", "--signal", "spin:0.5,rot",
+                       "--order", "2", "--grid", "128")
+    assert code == 0 and sizes == [1]
+    assert np.allclose(json.loads(out)["z_T"], z[-1], rtol=0.0, atol=1e-14)
 
 
 def test_verify_catalan(capsys):

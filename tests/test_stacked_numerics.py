@@ -1,7 +1,8 @@
 """Stacked numeric kernels: the batched matrix exponential and the RK4
 oracle built from step propagators equal their one-matrix, one-step loop
-definitions, keep their input contract, do not overflow near the float
-maximum, and the oracle never calls the exponential."""
+definitions, the oracle's blocked scan equals the running product taken one
+step at a time, the kernels keep their input contract, do not overflow near
+the float maximum, and the oracle never calls the exponential."""
 
 import math
 
@@ -56,6 +57,35 @@ def ref_rk4(u, refinement):
         if (j + 1) % refinement == 0:
             out[(j + 1) // refinement] = z
     return out
+
+
+def ref_rk4_running_product(u, refinement):
+    """RK4 as stacked step propagators, taken as a running product over the
+    coarse steps one at a time, on half-step values gathered by index."""
+    big_u = u.channel(1)
+    fine = u.num_steps * refinement
+    hf = u.horizon / fine
+    tt = np.linspace(0.0, u.horizon, 2 * fine + 1)
+    pos = tt / u.h
+    idx = np.minimum(pos.astype(int), u.num_steps - 1)
+    frac = (pos - idx)[:, None, None]
+    u_half = (1.0 - frac) * big_u[idx] + frac * big_u[idx + 1]
+    eye = np.eye(u.dim)
+    a1, a2, a4 = u_half[:-1:2], u_half[1::2], u_half[2::2]
+    k2 = a2 @ (eye + 0.5 * hf * a1)
+    k3 = a2 @ (eye + 0.5 * hf * k2)
+    k4 = a4 @ (eye + hf * k3)
+    steps = (hf / 6.0 * (a1 + 2.0 * k2 + 2.0 * k3 + k4)).reshape(
+        u.num_steps, refinement, u.dim, u.dim)
+    coarse = steps[:, 0]
+    for r in range(1, refinement):
+        coarse = coarse + steps[:, r] + steps[:, r] @ coarse
+    z = eye
+    out = [z]
+    for step in coarse:
+        z = z + step @ z
+        out.append(z)
+    return np.stack(out)
 
 
 def _max_rel(got, want):
@@ -151,6 +181,22 @@ def test_rk4_matches_reference_loop(name, refinement):
     assert got.shape == want.shape == (u.num_steps + 1, u.dim, u.dim)
     assert np.array_equal(got[0], np.eye(u.dim))
     assert _max_rel(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("refinement", [1, 4])
+@pytest.mark.parametrize("steps", [1, 2, 3, 37, 48, 4096])
+@pytest.mark.parametrize("kind", ["spin", "smooth-3x3"])
+def test_rk4_scan_matches_running_product_loop(kind, steps, refinement):
+    # 37 and 48 are not squares, so the scan pads its last block
+    if kind == "spin":
+        u = spin_field(0.7, "rot", 1.0, steps)
+    else:
+        u = random_smooth_signal(np.random.default_rng(steps), 1, 3, 1.0, steps)
+    got = rk4_reference(u, refinement)
+    want = ref_rk4_running_product(u, refinement)
+    assert got.shape == want.shape == (steps + 1, 3, 3)
+    assert np.array_equal(got[0], np.eye(3))
+    assert _max_rel(got, want) <= 1e-14
 
 
 def test_rk4_never_calls_the_exponential(monkeypatch):
