@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .trees import (
     DLEAF,
@@ -326,81 +326,62 @@ class ParenthesisWord:
         return "".join(self.tokens)
 
 
-def _matching_brackets(tokens: Sequence[str]) -> dict[int, int]:
-    stack: list[int] = []
-    match: dict[int, int] = {}
-    for i, tok in enumerate(tokens):
-        if tok == "[":
-            stack.append(i)
-        elif tok == "]":
-            if not stack:
-                raise ParseError("unbalanced ']' (condition i)", condition="i")
-            match[stack.pop()] = i
-    if stack:
-        raise ParseError("unbalanced '[' (condition i)", condition="i")
-    return match
-
-
 def parse_parenthesis_word(text: str) -> ParenthesisWord:
     """Validate a parenthesis word; rejections name the violated condition."""
-    tokens = _tokenize(text, _TOKEN_RE)
-    if not tokens:
-        return ParenthesisWord(())
-    match = _matching_brackets(tokens)
-    for i in range(len(tokens) - 1):
-        a, b = tokens[i], tokens[i + 1]
-        if a.startswith("x") and b.startswith("x"):
-            raise ParseError("adjacent bare letters (condition ii)", condition="ii")
-        if (a, b) == ("[", "]") or (a, b) == ("]", "["):
-            raise ParseError(f"forbidden pair '{a}{b}' (condition iii)", condition="iii")
-    if tokens[0] == "[" and match[0] == len(tokens) - 1:
-        raise ParseError("globally wrapped word (condition iv)", condition="iv")
-    for i, j in match.items():
-        if i + 1 in match and match[i + 1] == j - 1:
-            raise ParseError("redundant double wrapping (condition v)", condition="v")
-        if 0 < i and j + 1 < len(tokens) \
-                and tokens[i - 1].startswith("x") and tokens[j + 1].startswith("x"):
-            raise ParseError(
-                "bracket group flanked by letters on both sides (condition v)",
-                condition="v")
-    pw = ParenthesisWord(tuple(tokens))
-    delta_to_tree(pw)  # any residual structural defect surfaces here
+    pw = ParenthesisWord(tuple(_tokenize(text, _TOKEN_RE)))
+    delta_to_tree(pw)
     return pw
 
 
 def delta_to_tree(pw: ParenthesisWord) -> DecoratedTree:
     """The decorated tree of a parenthesis word (delta followed by the tree map).
 
-    Every nonempty parenthesis word has the shape
-    ``[group]? letter [group]?`` with groups again parenthesis words, and the
-    three shapes map to grafting a leaf/subtree pair under the letter.
+    Every nonempty parenthesis word has the shape ``[left]? letter [right]?``
+    with groups again parenthesis words, and maps to the tree that grafts the
+    trees of its groups under the letter.  One pass checks conditions i-v and
+    writes the tree's shape (Dyck word): a letter writes ``(``, closed at the
+    ``]`` of its right group, or at once when no ``[`` follows it.  A
+    violation raises ``ParseError`` naming the first failed condition in the
+    order i, ii/iii (leftmost pair), iv, v (groups in closing order).
     """
     tokens = pw.tokens
-    match = _matching_brackets(tokens)
-    out: list = []  # left subtree, letter, right subtree of each open word
-    # (stage, lo, hi): 0 reads tokens[lo:hi] up to its letter, 1 reads the
-    # letter at lo and the right group, 2 grafts
-    todo = [(0, 0, len(tokens))]
-    while todo:
-        stage, lo, hi = todo.pop()
-        if stage == 2:
-            right, letter = out.pop(), out.pop()
-            out[-1] = DecoratedTree(out[-1], letter, right)
-        elif stage == 1:
-            if lo >= hi or not tokens[lo].startswith("x"):
-                raise ParseError(f"expected a letter in {''.join(tokens)!r}")
-            out.append(int(tokens[lo][1:]))
-            lo += 1
-            if lo < hi and (tokens[lo] != "[" or match[lo] != hi - 1):
-                raise ParseError(f"malformed parenthesis word {''.join(tokens)!r}")
-            todo += ((2, lo, hi), (0, lo + 1, hi - 1) if lo < hi else (0, hi, hi))
-        elif lo == hi:
-            out.append(DLEAF)
-        elif tokens[lo] == "[":
-            todo += ((1, match[lo] + 1, hi), (0, lo + 1, match[lo]))
+    letters: list[int] = []
+    shape: list[str] = []
+    opened: list[int] = []  # positions of the open '['
+    pair = double = None  # the first ii/iii and v violations
+    inner = -1  # position of the '[' of the group closed last
+    for k, tok in enumerate(tokens):
+        nxt = tokens[k + 1] if k + 1 < len(tokens) else ""
+        if tok == "[":
+            opened.append(k)
+        elif tok == "]":
+            if not opened:
+                raise ParseError("unbalanced ']' (condition i)", condition="i")
+            i = opened.pop()
+            right = i > 0 and tokens[i - 1][0] == "x"  # the group follows its letter
+            if double is None and inner == i + 1 and tokens[k - 1] == "]":
+                double = "redundant double wrapping (condition v)"
+            elif double is None and right and nxt[:1] == "x":
+                double = "bracket group flanked by letters on both sides (condition v)"
+            if right:
+                shape.append(")")
+            inner = i
         else:
-            todo += ((1, lo, hi), (0, lo, lo))
-    return out[0]
+            letters.append(int(tok[1:]))
+            shape.append("(" if nxt == "[" else "()")
+        if pair is None and tok[0] == nxt[:1] == "x":
+            pair = ParseError("adjacent bare letters (condition ii)", condition="ii")
+        elif pair is None and tok + nxt in ("[]", "]["):
+            pair = ParseError(f"forbidden pair '{tok}{nxt}' (condition iii)", condition="iii")
+    if opened:
+        raise ParseError("unbalanced '[' (condition i)", condition="i")
+    if pair is not None:
+        raise pair
+    if inner == 0 and tokens[-1] == "]":
+        raise ParseError("globally wrapped word (condition iv)", condition="iv")
+    if double is not None:
+        raise ParseError(double, condition="v")
+    return decorate(letters, "".join(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,15 @@ def finite_series(terms: Mapping[DecoratedTree, Coefficient], m: int) -> Generat
                             order_sum=order_sum, terms=dict(items))
 
 
+def _matrix_from_json(raw: list) -> np.ndarray:
+    """A matrix coeff: rows of JSON numbers (no bool or string entry)."""
+    for row in raw:
+        for v in row if isinstance(row, list) else (row,):
+            if type(v) not in (int, float):
+                raise TypeError(f"a matrix entry is a number, got {v!r}")
+    return np.array(raw, dtype=float)
+
+
 def terms_from_json(data: list[dict]) -> dict[DecoratedTree, Coefficient]:
     """Coefficients of ``{coeff, tree}`` records (as :meth:`TreePolynomial.to_json`
     writes them): a list ``coeff`` is a square matrix, any other a rational.
@@ -202,9 +211,9 @@ def terms_from_json(data: list[dict]) -> dict[DecoratedTree, Coefficient]:
             raw = rec["coeff"]
             if isinstance(raw, bool):
                 raise TypeError(f"a coeff is a number, a string or a matrix, got {raw!r}")
-            coeff = np.array(raw, dtype=float) if isinstance(raw, list) else Fraction(raw)
+            coeff = _matrix_from_json(raw) if isinstance(raw, list) else Fraction(raw)
             tree = tree_from_json(rec["tree"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"bad series record {k}: {exc!r}") from exc
         if isinstance(raw, list) and (coeff.ndim != 2 or coeff.shape[0] != coeff.shape[1]):
             raise ValueError(f"bad series record {k}: a matrix coeff must be square")
@@ -338,16 +347,15 @@ def magnus_evaluate(series: MagnusSeries,
 def resolve_pre_lie_orientation(u: MatrixSignal) -> str:
     """Pick the bracket orientation that actually converges to the ODE flow.
 
-    For each orientation, exponentiate the exponent truncated at order 3 and
-    compare it against the Runge-Kutta reference at refinement 4; the
-    orientation with the smallest error wins.
+    For each orientation, exponentiate the exponent truncated at order 3 at
+    the horizon and compare it against the Runge-Kutta reference at
+    refinement 4; the orientation with the smallest error wins.
     """
     reference = rk4_reference(u, 4)[-1]
     best: tuple[float, str] | None = None
     for orientation in BRACKET_ORIENTATIONS:
-        series = magnus_generating_series(3, orientation)
-        _, z = magnus_evaluate(series, u)
-        err = float(stack_norm1(z[-1] - reference))
+        omega = magnus_exponent(magnus_generating_series(3, orientation), u)
+        err = float(stack_norm1(matrix_exp(omega.at_horizon) - reference))
         if best is None or err < best[0]:
             best = (err, orientation)
     assert best is not None

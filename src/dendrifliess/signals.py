@@ -66,6 +66,11 @@ def trapezoid_prefix(g: np.ndarray, h: float) -> np.ndarray:
     return c
 
 
+def _check_horizon(horizon: float) -> None:
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise SignalError(f"horizon must be finite and positive, got {horizon}")
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixSignal:
     """Sampled input tuple u = (u_1, ..., u_m); u_0 is the implicit identity."""
@@ -79,8 +84,7 @@ class MatrixSignal:
             raise SignalError(f"samples must be (m, N+1, n, n), got {s.shape}")
         if s.shape[1] < 2:
             raise SignalError("need at least N=1, i.e. two grid nodes")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise SignalError(f"horizon must be finite and positive, got {self.horizon}")
+        _check_horizon(self.horizon)
         if not np.all(np.isfinite(s)):
             raise SignalError("non-finite samples")
         s = s.copy()
@@ -173,6 +177,7 @@ def spin_field(b_magnitude: float, axis_schedule: str,
     each active on an equal subinterval of [0, T], or ``'rot'`` for a smooth
     axis rotating in the x-y plane over one full turn.
     """
+    _check_horizon(horizon)  # before the schedule divides by it
     t = np.linspace(0.0, horizon, num_steps + 1)
     if axis_schedule == "rot":
         theta = 2.0 * math.pi * t / horizon
@@ -182,8 +187,7 @@ def spin_field(b_magnitude: float, axis_schedule: str,
             raise SignalError(f"bad axis schedule {axis_schedule!r}")
         pieces = len(axis_schedule)
         idx = np.minimum((t / horizon * pieces).astype(int), pieces - 1)
-        basis = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
-        direction = np.array([basis[axis_schedule[k]] for k in idx])
+        direction = np.eye(3)[["xyz".index(c) for c in axis_schedule]][idx]
     gens = np.stack([SPIN_GENERATORS["x"], SPIN_GENERATORS["y"], SPIN_GENERATORS["z"]])
     samples = b_magnitude * np.einsum("ta,aij->tij", direction, gens)
     return MatrixSignal(samples[None], horizon)

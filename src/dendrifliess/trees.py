@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import threading
 import weakref
 from typing import Iterator, Sequence
@@ -240,18 +241,12 @@ def left_comb(word: Sequence[int]) -> DecoratedTree:
     This orientation makes the iterated integral over a left comb coincide
     with the classical recursion E_{x_i eta'} = int u_i E_{eta'}.
     """
-    t = DLEAF
-    for letter in reversed(tuple(word)):
-        t = DecoratedTree(DLEAF, letter, t)
-    return t
+    return decorate(word, "(" * len(word) + ")" * len(word))
 
 
 def right_comb(word: Sequence[int]) -> DecoratedTree:
     """Right-comb tree on ``word``; the last letter sits at the root."""
-    t = DLEAF
-    for letter in word:
-        t = DecoratedTree(t, letter, DLEAF)
-    return t
+    return decorate(word, "()" * len(word))
 
 
 def tree_factorial(shape: str) -> int:
@@ -314,16 +309,9 @@ def tree_from_json(obj: dict | None) -> DecoratedTree:
 
 def parse_word(text: str) -> Word:
     """Parse a catenated word like 'x1x2x0' into letter indices."""
-    out: list[int] = []
-    i = 0
-    while i < len(text):
+    i = re.match(r"(?:x\d+)*", text).end()
+    if i < len(text):
         if text[i] != "x":
             raise AlphabetError(f"expected 'x<digits>' at position {i} in {text!r}")
-        j = i + 1
-        while j < len(text) and text[j].isdigit():
-            j += 1
-        if j == i + 1:
-            raise AlphabetError(f"missing letter index at position {i} in {text!r}")
-        out.append(int(text[i + 1:j]))
-        i = j
-    return tuple(out)
+        raise AlphabetError(f"missing letter index at position {i} in {text!r}")
+    return tuple(int(d) for d in text[1:].split("x")) if text else ()

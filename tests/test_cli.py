@@ -244,6 +244,18 @@ def test_fliess_series_record_read_strictly(capsys, tmp_path, record):
     assert code == 1 and out == "" and err.startswith("error: bad series record 1: ")
 
 
+@pytest.mark.parametrize("entry", [True, "2"], ids=["bool-entry", "string-entry"])
+def test_matrix_entries_are_numbers(capsys, tmp_path, entry):
+    # neither is read as the number 1 or 2
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps([{"coeff": [[0.5]], "tree": X0},
+                                {"coeff": [[entry]], "tree": X1}]))
+    code, out, err = run(capsys, "--json", "fliess", "eval", "--series", str(path),
+                         "--signal", "const:1.0", "--order", "1", "--grid", "2")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"].startswith("bad series record 1: TypeError(")
+    assert f"a matrix entry is a number, got {entry!r}" in err
+
 def test_fliess_coefficient_shape_must_match_the_signal(capsys, tmp_path):
     path = tmp_path / "series.json"
     path.write_text(json.dumps([{"coeff": [[1.0, 0.0], [0.0, 2.0]], "tree": X1}]))
@@ -425,6 +437,19 @@ def test_magnus_exponentiates_only_the_horizon(capsys, monkeypatch):
     assert code == 0 and sizes == [1]
     assert np.allclose(json.loads(out)["z_T"], z[-1], rtol=0.0, atol=1e-14)
 
+
+def test_verify_magnus_exponentiates_only_the_horizon(capsys, monkeypatch):
+    # four orders, then three orientations: one matrix each
+    sizes = []
+    expm_stack = operators.expm_stack
+
+    def counting(values):
+        sizes.append(len(values))
+        return expm_stack(values)
+
+    monkeypatch.setattr(operators, "expm_stack", counting)
+    code, out, _ = run(capsys, "verify", "magnus")
+    assert code == 0 and out == "magnus: ok\n" and sizes == [1] * 7
 
 def test_verify_catalan(capsys):
     code, out, _ = run(capsys, "verify", "catalan")

@@ -1,7 +1,10 @@
 """The tree shuffle, the ``--expr`` reader and the tree enumeration are loops:
 each equals its recursive definition on random inputs and takes inputs
-nested far deeper than an interpreter frame per level would allow."""
+nested far deeper than an interpreter frame per level would allow.  The
+parenthesis-word reader, the combs and the word reader write Dyck words or
+match one pattern: each equals the reader or loop it replaced."""
 
+import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -17,8 +20,12 @@ from dendrifliess.algebra import (
     _prec_trees,
     _shuffle_trees,
     _succ_trees,
+    _TOKEN_RE,
+    ParenthesisWord,
     _tokenize,
+    delta_to_tree,
     parse_dendriform_expr,
+    parse_parenthesis_word,
     prec,
     render_polynomial,
     shuffle,
@@ -26,11 +33,13 @@ from dendrifliess.algebra import (
 )
 from dendrifliess.trees import (
     DLEAF,
+    AlphabetError,
     DecoratedTree,
     decorate,
     enumerate_trees,
     graft,
     left_comb,
+    parse_word,
     right_comb,
 )
 
@@ -139,6 +148,106 @@ def ref_enumerate(n):
     return tuple(out)
 
 
+def ref_matching_brackets(tokens):
+    stack = []
+    match = {}
+    for i, tok in enumerate(tokens):
+        if tok == "[":
+            stack.append(i)
+        elif tok == "]":
+            if not stack:
+                raise ParseError("unbalanced ']' (condition i)", condition="i")
+            match[stack.pop()] = i
+    if stack:
+        raise ParseError("unbalanced '[' (condition i)", condition="i")
+    return match
+
+
+def ref_parse_parenthesis_word(text):
+    """The bracket table, then conditions ii-v in turn, then the delta map."""
+    tokens = _tokenize(text, _TOKEN_RE)
+    if not tokens:
+        return ParenthesisWord(())
+    match = ref_matching_brackets(tokens)
+    for i in range(len(tokens) - 1):
+        a, b = tokens[i], tokens[i + 1]
+        if a.startswith("x") and b.startswith("x"):
+            raise ParseError("adjacent bare letters (condition ii)", condition="ii")
+        if (a, b) == ("[", "]") or (a, b) == ("]", "["):
+            raise ParseError(f"forbidden pair '{a}{b}' (condition iii)", condition="iii")
+    if tokens[0] == "[" and match[0] == len(tokens) - 1:
+        raise ParseError("globally wrapped word (condition iv)", condition="iv")
+    for i, j in match.items():
+        if i + 1 in match and match[i + 1] == j - 1:
+            raise ParseError("redundant double wrapping (condition v)", condition="v")
+        if 0 < i and j + 1 < len(tokens) \
+                and tokens[i - 1].startswith("x") and tokens[j + 1].startswith("x"):
+            raise ParseError(
+                "bracket group flanked by letters on both sides (condition v)",
+                condition="v")
+    pw = ParenthesisWord(tuple(tokens))
+    ref_delta_to_tree(pw)
+    return pw
+
+
+def ref_delta_to_tree(pw):
+    """The delta map on a stack of (stage, lo, hi) token ranges."""
+    tokens = pw.tokens
+    match = ref_matching_brackets(tokens)
+    out = []
+    todo = [(0, 0, len(tokens))]
+    while todo:
+        stage, lo, hi = todo.pop()
+        if stage == 2:
+            right, letter = out.pop(), out.pop()
+            out[-1] = DecoratedTree(out[-1], letter, right)
+        elif stage == 1:
+            if lo >= hi or not tokens[lo].startswith("x"):
+                raise ParseError(f"expected a letter in {''.join(tokens)!r}")
+            out.append(int(tokens[lo][1:]))
+            lo += 1
+            if lo < hi and (tokens[lo] != "[" or match[lo] != hi - 1):
+                raise ParseError(f"malformed parenthesis word {''.join(tokens)!r}")
+            todo += ((2, lo, hi), (0, lo + 1, hi - 1) if lo < hi else (0, hi, hi))
+        elif lo == hi:
+            out.append(DLEAF)
+        elif tokens[lo] == "[":
+            todo += ((1, match[lo] + 1, hi), (0, lo + 1, match[lo]))
+        else:
+            todo += ((1, lo, hi), (0, lo, lo))
+    return out[0]
+
+
+def ref_left_comb(word):
+    t = DLEAF
+    for letter in reversed(tuple(word)):
+        t = DecoratedTree(DLEAF, letter, t)
+    return t
+
+
+def ref_right_comb(word):
+    t = DLEAF
+    for letter in word:
+        t = DecoratedTree(t, letter, DLEAF)
+    return t
+
+
+def ref_parse_word(text):
+    out = []
+    i = 0
+    while i < len(text):
+        if text[i] != "x":
+            raise AlphabetError(f"expected 'x<digits>' at position {i} in {text!r}")
+        j = i + 1
+        while j < len(text) and text[j].isdigit():
+            j += 1
+        if j == i + 1:
+            raise AlphabetError(f"missing letter index at position {i} in {text!r}")
+        out.append(int(text[i + 1:j]))
+        i = j
+    return tuple(out)
+
+
 def outcome(read, text):
     """What reading ``text`` gives: the polynomial, or the exception's type
     and message."""
@@ -193,6 +302,37 @@ def test_reader_reads_token_strings_like_its_reference(tokens, sep):
         assert got[0] is ParseError and got[1].startswith("zero denominator in '")
     else:
         assert got == want
+
+
+def test_parenthesis_words_read_like_the_reference():
+    # every token string of up to 8 tokens: the same tree, or the same
+    # violated condition with the same message
+    count = 0
+    for n in range(9):
+        for tokens in itertools.product(("x1", "x2", "[", "]"), repeat=n):
+            text = "".join(tokens)
+            got = outcome(lambda s: delta_to_tree(parse_parenthesis_word(s)), text)
+            want = outcome(lambda s: ref_delta_to_tree(ref_parse_parenthesis_word(s)), text)
+            if isinstance(want, DecoratedTree):
+                assert got is want, text
+            else:
+                assert got == want, text
+                assert got[0] is ParseError
+            count += 1
+    assert count == 87_381
+
+
+def test_combs_are_dyck_words():
+    for n in range(9):
+        for word in itertools.product((1, 2), repeat=n):
+            assert left_comb(word) is decorate(word, "(" * n + ")" * n) is ref_left_comb(word)
+            assert right_comb(word) is decorate(word, "()" * n) is ref_right_comb(word)
+
+
+@LOOP_SETTINGS
+@given(st.text("x0129y ", max_size=10))
+def test_word_reader_reads_like_its_reference(text):
+    assert outcome(parse_word, text) == outcome(ref_parse_word, text)
 
 
 @pytest.mark.parametrize("text", ["1/0 * x1", "x1 + 0/0 * x2", "((x1<x2) > 3/0 * x1)"])

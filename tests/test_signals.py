@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dendrifliess.signals import (
+    SPIN_GENERATORS,
     MatrixSignal,
     SignalError,
     constant_signal,
@@ -109,6 +110,23 @@ def test_spin_field_is_skew():
     with pytest.raises(SignalError):
         spin_field(1.0, "abc", 1.0, 8)
 
+
+@pytest.mark.parametrize("schedule", ["xzy", "x"])
+@pytest.mark.parametrize("steps", [1, 7, 4096])
+def test_spin_schedule_equals_the_per_node_axes(schedule, steps):
+    # the axis of each node, looked up one node at a time
+    t = np.linspace(0.0, 1.0, steps + 1)
+    basis = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
+    idx = np.minimum((t * len(schedule)).astype(int), len(schedule) - 1)
+    direction = np.array([basis[schedule[k]] for k in idx])
+    want = 0.7 * np.einsum("ta,aij->tij", direction, np.stack(list(SPIN_GENERATORS.values())))
+    assert spin_field(0.7, schedule, 1.0, steps).samples.tobytes() == want[None].tobytes()
+
+
+@pytest.mark.parametrize("horizon", [float("nan"), 0.0, float("inf")])
+def test_spin_schedule_refuses_a_bad_horizon(horizon):
+    with pytest.raises(SignalError, match="horizon must be finite and positive"):
+        spin_field(1.0, "xy", horizon, 4)
 
 def test_random_smooth_signal_amplitude_and_determinism():
     u = random_smooth_signal(np.random.default_rng(7), 2, 2, 1.0, 50,
