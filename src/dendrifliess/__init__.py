@@ -10,13 +10,11 @@ reference.
 
 from .algebra import (
     DendriformError,
-    ParenthesisWord,
     ParseError,
     TreePolynomial,
     char_trees,
     delta_to_tree,
     parse_dendriform_expr,
-    parse_parenthesis_word,
     pre_lie,
     prec,
     render_polynomial,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -35,8 +34,6 @@ from .trees import (
 __all__ = [
     "DendriformError",
     "ParseError",
-    "ParenthesisWord",
-    "parse_parenthesis_word",
     "delta_to_tree",
     "TreePolynomial",
     "shuffle",
@@ -316,25 +313,8 @@ def _tokenize(text: str, token_re: re.Pattern) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class ParenthesisWord:
-    """A validated token sequence over the letters and '[' / ']'."""
-
-    tokens: tuple[str, ...]
-
-    def __str__(self) -> str:
-        return "".join(self.tokens)
-
-
-def parse_parenthesis_word(text: str) -> ParenthesisWord:
-    """Validate a parenthesis word; rejections name the violated condition."""
-    pw = ParenthesisWord(tuple(_tokenize(text, _TOKEN_RE)))
-    delta_to_tree(pw)
-    return pw
-
-
-def delta_to_tree(pw: ParenthesisWord) -> DecoratedTree:
-    """The decorated tree of a parenthesis word (delta followed by the tree map).
+def delta_to_tree(text: str) -> DecoratedTree:
+    """The decorated tree of the parenthesis word ``text`` (delta, then the tree map).
 
     Every nonempty parenthesis word has the shape ``[left]? letter [right]?``
     with groups again parenthesis words, and maps to the tree that grafts the
@@ -344,7 +324,7 @@ def delta_to_tree(pw: ParenthesisWord) -> DecoratedTree:
     violation raises ``ParseError`` naming the first failed condition in the
     order i, ii/iii (leftmost pair), iv, v (groups in closing order).
     """
-    tokens = pw.tokens
+    tokens = _tokenize(text, _TOKEN_RE)
     letters: list[int] = []
     shape: list[str] = []
     opened: list[int] = []  # positions of the open '['

@@ -79,6 +79,13 @@ def _write_csv(path: str, result: integrals.EvaluationResult) -> None:
             writer.writerow([repr(float(t))] + [repr(float(v)) for v in mat.ravel()])
 
 
+def _require_finite(values: np.ndarray) -> None:
+    """Refuse values that are not finite in every output mode: JSON cannot
+    hold them, and CSV or text would pass an overflow on as data."""
+    if not np.isfinite(values).all():
+        raise CliError("the values are not finite, so none are written")
+
+
 def _write_result(args, result: integrals.EvaluationResult, title: str,
                   extra: dict, side: dict | None = None) -> None:
     """The one output path of grid values (``eval tree``, ``fliess eval``).
@@ -86,14 +93,12 @@ def _write_result(args, result: integrals.EvaluationResult, title: str,
     ``--json`` without ``--out`` prints one document ``{"t", "values",
     **extra}``.  Otherwise ``side``, if given, is printed as JSON, and the
     values go to the ``--out`` CSV file or out as ``title`` and the value at
-    the horizon.  Values that are not finite are refused in every mode: JSON
-    cannot hold them, and CSV or text would pass an overflow on as data.
+    the horizon.
     """
+    _require_finite(result.values)
     if args.json and not args.out:
         _print_json({"t": result.grid.tolist(), "values": result.values.tolist(), **extra})
         return
-    if not np.isfinite(result.values).all():
-        raise CliError("the values are not finite, so none are written")
     if side is not None:
         _print_json(side)
     if args.out:
@@ -197,7 +202,9 @@ def _cmd_magnus(args) -> int:
     u = _parse_signal(args.signal, args.grid, args.horizon)
     series = operators.magnus_generating_series(args.order)
     omega = operators.magnus_exponent(series, u)
+    _require_finite(omega.at_horizon)
     z_T = operators.matrix_exp(omega.at_horizon)  # only the horizon is printed
+    _require_finite(z_T)
     payload: dict = {
         "order": args.order,
         "orientation": series.orientation,
@@ -207,6 +214,7 @@ def _cmd_magnus(args) -> int:
     }
     if args.compare_rk4:
         ref = operators.rk4_reference(u, args.refine)
+        _require_finite(ref[-1])
         payload["rk4_T"] = ref[-1].tolist()
         payload["deviation"] = float(signals.stack_norm1(z_T - ref[-1]))
     if args.json:

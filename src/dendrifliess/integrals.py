@@ -27,7 +27,7 @@ from .signals import (
     stack_norm1,
     trapezoid_prefix,
     ubar,
-    ubar_integrals,
+    ubar_totals,
 )
 from .trees import (
     DLEAF,
@@ -157,22 +157,16 @@ def bound_tree_factorial(t: DecoratedTree, u: MatrixSignal) -> float:
         raise ValueError("the tree-factorial bound needs a single-letter decoration")
     if not word:
         return 1.0
-    i = word[0]
-    if i == 0:
-        big_u = u.horizon
-    else:
-        big_u = float(ubar_integrals(u)[i - 1, -1])
-    return big_u ** t.order / tree_factorial(skeleton(t))
+    return ubar_totals(u).tolist()[word[0]] ** t.order / tree_factorial(skeleton(t))
 
 
 def bound_left_comb(word: Word, u: MatrixSignal) -> float:
     """Left-comb bound: product over letters of Ubar_j(T)^{n_j} / n_j!."""
-    integrals = ubar_integrals(u)
+    totals = ubar_totals(u).tolist()
     out = 1.0
     for j in set(word):
         n_j = word.count(j)
-        big_u = u.horizon if j == 0 else float(integrals[j - 1, -1])
-        out *= big_u ** n_j / math.factorial(n_j)
+        out *= totals[j] ** n_j / math.factorial(n_j)
     return out
 
 

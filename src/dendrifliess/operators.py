@@ -24,7 +24,7 @@ shuffle-exponential of the recursion's fixed point).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import TreePolynomial, pre_lie, prec, shuffle, succ
 from .integrals import Coefficient, EvaluationResult, TreeEvaluator, evaluate_polynomial
-from .signals import MatrixSignal, SignalError, matrix_norm1, signal_norm, stack_norm1
+from .signals import MatrixSignal, SignalError, matrix_norm1, stack_norm1, ubar_totals
 from .trees import DLEAF, DecoratedTree, canonical_key, graft, left_comb, tree_from_json
 
 __all__ = [
@@ -126,7 +126,7 @@ def convergence_certificate(c: GeneratingSeries, u: MatrixSignal,
         raise ValueError(
             f"certificate requires the geometric regime, got {c.growth_regime!r}")
     radius = 1.0 / (c.M * (c.m + 1))
-    R = max(signal_norm(u), u.horizon)
+    R = float(ubar_totals(u).max())  # the largest Ubar_i(T), Ubar_0(T) = T
     ratio = c.M * R * (c.m + 1)
     if ratio < 1.0:
         tail = c.K * ratio ** (order + 1) / (1.0 - ratio)
@@ -144,15 +144,11 @@ DYSON_ORDER_CAP = 256
 
 
 def dyson_series(order: int) -> GeneratingSeries:
-    """Identity coefficients on x1-decorated left combs up to ``order``."""
+    """The finite series of the x1 left combs of orders 0..``order``, coefficient 1."""
     if not 0 <= order <= DYSON_ORDER_CAP:
         raise ValueError(f"Dyson order {order} outside 0..{DYSON_ORDER_CAP}")
-
-    def order_sum(ev: TreeEvaluator, n: int) -> np.ndarray:
-        return ev.weighted_sum([(left_comb((1,) * n), Fraction(1))] if n <= order else [])
-
-    return GeneratingSeries(m=1, K=1.0, M=1.0, growth_regime="factorial_left_comb",
-                            order_sum=order_sum)
+    combs = finite_series({left_comb((1,) * n): 1 for n in range(order + 1)}, 1)
+    return replace(combs, growth_regime="factorial_left_comb")
 
 
 def full_support_series(m: int, K: float = 1.0, M: float = 1.0) -> GeneratingSeries:

@@ -21,6 +21,7 @@ __all__ = [
     "stack_norm1",
     "ubar",
     "ubar_integrals",
+    "ubar_totals",
     "signal_norm",
     "trapezoid_prefix",
     "constant_signal",
@@ -134,11 +135,15 @@ def ubar_integrals(u: MatrixSignal) -> np.ndarray:
     return trapezoid_prefix(stack_norm1(u.samples).T, u.h).T
 
 
+def ubar_totals(u: MatrixSignal) -> np.ndarray:
+    """[Ubar_0(T), ..., Ubar_m(T)]: the horizon T for the drift (u_0 = I has
+    norm 1), then the totals of :func:`ubar_integrals`; shape (m+1,)."""
+    return np.concatenate(([u.horizon], ubar_integrals(u)[:, -1]))
+
+
 def signal_norm(u: MatrixSignal) -> float:
-    """max over channels of the trapezoidal L1-in-time integral."""
-    if u.m == 0:
-        return 0.0
-    return float(ubar_integrals(u)[:, -1].max())
+    """max over channels of the trapezoidal L1-in-time integral (0 for none)."""
+    return float(ubar_totals(u)[1:].max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

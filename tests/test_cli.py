@@ -42,6 +42,7 @@ def test_algebra_shuffle(capsys):
     code, out, _ = run(capsys, "algebra", "shuffle", "(x1<x2)", "x3")
     assert code == 0
     assert out.strip() == "(x1<(x2<x3)) + (x1<(x2>x3)) + ((x1<x2)>x3)"
+    assert run(capsys, "algebra", "shuffle", "x1 - x1", "x2") == (0, "0\n", "")
 
 
 def test_algebra_prelie(capsys):
@@ -67,6 +68,22 @@ def test_usage_error_exit_code(capsys):
         cli.run(["trees", "enum"])  # missing --order
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "tree", "--expr", "x1", "--signal", "const:1,a"],
+     "bad matrix literal '1,a': could not convert string to float: 'a'"),
+    (["eval", "tree", "--expr", "x1", "--signal", "const:1,2"],
+     "matrix literal '1,2' is not square"),
+    (["algebra", "char", "--order", "2", "--letter", "x1x2"],
+     "--letter takes a single letter like x1"),
+    (["algebra", "shuffle", "(x1 + x2)", "x1"],
+     "products must be parenthesized pairs; got ')' in '(x1 + x2)'"),
+], ids=["matrix-entry", "matrix-shape", "letter", "sum-in-parentheses"])
+def test_bad_input_is_named(capsys, argv, message):
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": message}
 
 
 def test_one_parser_serves_every_call(capsys, monkeypatch):
@@ -370,13 +387,19 @@ def test_grid_too_large_to_allocate_is_a_json_error(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["fliess", "eval", "--series", "dyson:3", "--signal", "const:1e308", "--order", "3"],
     ["eval", "tree", "--expr", "(x1<(x1<x1))", "--signal", "const:1e200"],
-], ids=["fliess", "eval"])
+    # magnus: omega(T) = 1000 and z(T) = e^1000; omega(T) itself overflows;
+    # z(T) = 0 but the RK4 steps blow up
+    ["magnus", "--signal", "const:1e3", "--order", "2"],
+    ["magnus", "--signal", "const:1e3", "--order", "2", "--compare-rk4"],
+    ["magnus", "--signal", "const:1e300", "--order", "3"],
+    ["magnus", "--signal", "const:-1e7", "--order", "2", "--compare-rk4"],
+], ids=["fliess", "eval", "magnus-z", "magnus-z-rk4", "magnus-omega", "magnus-rk4"])
 def test_overflow_is_a_json_error(capsys, argv):
     # the values overflow to NaN, which a JSON document cannot hold
     with np.errstate(over="ignore", invalid="ignore"):
         code, out, err = run(capsys, "--json", *argv, "--grid", "4")
     assert code == 1 and out == ""
-    assert "JSON" in json.loads(err)["error"]
+    assert json.loads(err) == {"error": "the values are not finite, so none are written"}
 
 
 def test_json_stderr_is_one_document_on_overflow():
@@ -387,13 +410,19 @@ def test_json_stderr_is_one_document_on_overflow():
          "--series", "dyson:3", "--signal", "const:1e308", "--order", "3", "--grid", "4"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 1 and proc.stdout == ""
-    assert "JSON" in json.loads(proc.stderr)["error"]
+    assert json.loads(proc.stderr) == {"error": "the values are not finite, so none are written"}
 
 
 @pytest.mark.parametrize("argv", [
     ["fliess", "eval", "--series", "dyson:3", "--signal", "const:1e308", "--order", "3"],
     ["eval", "tree", "--expr", "(x1<(x1<x1))", "--signal", "const:1e200", "--out"],
-], ids=["fliess-text", "eval-csv"])
+    # magnus: omega(T) = 1000 and z(T) = e^1000; omega(T) itself overflows;
+    # z(T) = 0 but the RK4 steps blow up
+    ["magnus", "--signal", "const:1e3", "--order", "2"],
+    ["magnus", "--signal", "const:1e3", "--order", "2", "--compare-rk4"],
+    ["magnus", "--signal", "const:1e300", "--order", "3"],
+    ["magnus", "--signal", "const:-1e7", "--order", "2", "--compare-rk4"],
+], ids=["fliess-text", "eval-csv", "magnus-z", "magnus-z-rk4", "magnus-omega", "magnus-rk4"])
 def test_overflow_is_refused_without_json(capsys, tmp_path, argv):
     path = tmp_path / "y.csv"
     if argv[-1] == "--out":

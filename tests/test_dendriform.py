@@ -13,7 +13,6 @@ from dendrifliess.algebra import (
     char_trees,
     delta_to_tree,
     parse_dendriform_expr,
-    parse_parenthesis_word,
     pre_lie,
     prec,
     render_polynomial,
@@ -228,7 +227,7 @@ def test_polynomial_json_roundtrip():
 
 def test_parenthesis_word_accepts_valid_forms():
     for text in ("x1", "x1[x2]", "[x1]x2", "[x1]x2[x3]", "x1[[x2]x3]"):
-        parse_parenthesis_word(text)
+        delta_to_tree(text)
 
 
 @pytest.mark.parametrize("text,cond", [
@@ -243,18 +242,18 @@ def test_parenthesis_word_accepts_valid_forms():
 ])
 def test_parenthesis_word_rejections(text, cond):
     with pytest.raises(ParseError) as err:
-        parse_parenthesis_word(text)
+        delta_to_tree(text)
     assert err.value.condition == cond
 
 
 def test_delta_examples():
     # delta(x1[x2]) = x1 < x2, delta([x1]x2) = x1 > x2,
     #         delta(x1[[x2]x3]) = x1 < (x2 > x3)
-    assert delta_to_tree(parse_parenthesis_word("x1[x2]")) == \
+    assert delta_to_tree("x1[x2]") == \
         graft(DLEAF, 1, graft(DLEAF, 2, DLEAF))
-    assert delta_to_tree(parse_parenthesis_word("[x1]x2")) == \
+    assert delta_to_tree("[x1]x2") == \
         graft(graft(DLEAF, 1, DLEAF), 2, DLEAF)
-    t = delta_to_tree(parse_parenthesis_word("x1[[x2]x3]"))
+    t = delta_to_tree("x1[[x2]x3]")
     assert render_tree_expr(t) == "(x1<(x2>x3))"
 
 
@@ -263,7 +262,7 @@ def test_delta_matches_expression_semantics():
     pairs = [("x1[x2]", "(x1<x2)"), ("[x1]x2", "(x1>x2)"),
              ("[x1]x2[x3]", "((x1>x2)<x3)")]
     for word, expr in pairs:
-        t = delta_to_tree(parse_parenthesis_word(word))
+        t = delta_to_tree(word)
         assert TreePolynomial.single(t) == parse_dendriform_expr(expr)
 
 

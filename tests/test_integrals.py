@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,13 +16,17 @@ from dendrifliess.integrals import (
     evaluate_polynomial,
     evaluate_tree,
 )
+from dendrifliess.operators import convergence_certificate, full_support_series
 from dendrifliess.signals import (
+    MatrixSignal,
     SignalError,
     constant_signal,
     random_smooth_signal,
     signal_norm,
     stack_norm1,
     trapezoid_prefix,
+    ubar_integrals,
+    ubar_totals,
 )
 from dendrifliess.trees import (
     DLEAF,
@@ -129,6 +134,44 @@ def test_bounds_dominate(u22):
 def test_bound_tree_factorial_needs_single_letter(u22):
     with pytest.raises(ValueError):
         bound_tree_factorial(left_comb((1, 2)), u22)
+
+
+def _parent_totals(u):
+    """The per-letter Ubar_j(T) as the bounds wrote it out before ubar_totals."""
+    return [u.horizon if j == 0 else float(ubar_integrals(u)[j - 1, -1])
+            for j in range(u.m + 1)]
+
+
+def _parent_signal_norm(u):
+    return 0.0 if u.m == 0 else float(ubar_integrals(u)[:, -1].max())
+
+
+@pytest.mark.parametrize("m, horizon, amplitude", [
+    (0, 0.7, 1.0), (1, 0.5, 3.0), (1, 2.0, 0.2), (2, 1.0, 0.8), (2, 0.3, 5.0)])
+def test_ubar_totals_give_the_parent_bounds(m, horizon, amplitude):
+    # the parent's formulas, with their drift branches, as the reference
+    if m == 0:
+        u = MatrixSignal(np.zeros((0, 33, 2, 2)), horizon)
+    else:
+        u = random_smooth_signal(np.random.default_rng(m), m, 2, horizon, 32,
+                                 amplitude=amplitude)
+    totals = _parent_totals(u)
+    assert ubar_totals(u).tolist() == totals and totals[0] == horizon
+    assert signal_norm(u) == _parent_signal_norm(u)
+    cert = convergence_certificate(full_support_series(m), u, 3)
+    assert cert.R == max(_parent_signal_norm(u), u.horizon)
+    if m == 0:
+        assert signal_norm(u) == 0.0 and cert.R == horizon
+    for j in range(m + 1):
+        for n in range(5):
+            for skel in enumerate_trees(n):
+                want = (totals[j] ** n if n else 1.0) / tree_factorial(skel)
+                assert bound_tree_factorial(decorate((j,) * n, skel), u) == want
+    for word in itertools.product(range(m + 1), repeat=3):
+        want = 1.0
+        for j in set(word):
+            want *= totals[j] ** word.count(j) / math.factorial(word.count(j))
+        assert bound_left_comb(word, u) == want
 
 
 def test_ubar_domination(u22):

@@ -21,11 +21,9 @@ from dendrifliess.algebra import (
     _shuffle_trees,
     _succ_trees,
     _TOKEN_RE,
-    ParenthesisWord,
     _tokenize,
     delta_to_tree,
     parse_dendriform_expr,
-    parse_parenthesis_word,
     prec,
     render_polynomial,
     shuffle,
@@ -164,10 +162,11 @@ def ref_matching_brackets(tokens):
 
 
 def ref_parse_parenthesis_word(text):
-    """The bracket table, then conditions ii-v in turn, then the delta map."""
-    tokens = _tokenize(text, _TOKEN_RE)
+    """The bracket table, then conditions ii-v in turn, then the delta map;
+    returns the word's tokens."""
+    tokens = tuple(_tokenize(text, _TOKEN_RE))
     if not tokens:
-        return ParenthesisWord(())
+        return ()
     match = ref_matching_brackets(tokens)
     for i in range(len(tokens) - 1):
         a, b = tokens[i], tokens[i + 1]
@@ -185,14 +184,12 @@ def ref_parse_parenthesis_word(text):
             raise ParseError(
                 "bracket group flanked by letters on both sides (condition v)",
                 condition="v")
-    pw = ParenthesisWord(tuple(tokens))
-    ref_delta_to_tree(pw)
-    return pw
+    ref_delta_to_tree(tokens)
+    return tokens
 
 
-def ref_delta_to_tree(pw):
+def ref_delta_to_tree(tokens):
     """The delta map on a stack of (stage, lo, hi) token ranges."""
-    tokens = pw.tokens
     match = ref_matching_brackets(tokens)
     out = []
     todo = [(0, 0, len(tokens))]
@@ -311,7 +308,7 @@ def test_parenthesis_words_read_like_the_reference():
     for n in range(9):
         for tokens in itertools.product(("x1", "x2", "[", "]"), repeat=n):
             text = "".join(tokens)
-            got = outcome(lambda s: delta_to_tree(parse_parenthesis_word(s)), text)
+            got = outcome(delta_to_tree, text)
             want = outcome(lambda s: ref_delta_to_tree(ref_parse_parenthesis_word(s)), text)
             if isinstance(want, DecoratedTree):
                 assert got is want, text

@@ -76,6 +76,12 @@ def test_dyson_series_support():
     assert not np.any(c.order_sum(ev, 5))  # above order
 
 
+def test_dyson_series_is_a_finite_series():
+    c = dyson_series(5)
+    assert c.terms == {left_comb((1,) * n): 1 for n in range(6)}
+    assert (c.m, c.K, c.M, c.growth_regime) == (1, 1.0, 1.0, "factorial_left_comb")
+
+
 def _tree_by_tree(ev: TreeEvaluator, n: int, m: int, coeff: float = 1.0) -> np.ndarray:
     """The per-tree reference: coeff times the sum of E over all trees of order n on x0..xm."""
     return ev.weighted_sum((t, coeff) for t in enumerate_decorated_trees(n, m))
@@ -258,16 +264,16 @@ def test_certificate_requires_geometric_regime():
 
 
 def test_product_connection_identity():
-    c = finite_series(x(1), 2)
     d = finite_series(prec(x(2), x(1)), 2)
-    e = product_connection(c, d)
     u = random_smooth_signal(np.random.default_rng(0), 2, 2, 1.0, 1024,
                              amplitude=0.5)
-    fc = evaluate_fliess(c, u, 1).values
     fd = evaluate_fliess(d, u, 2).values
-    fe = evaluate_fliess(e, u, 3).values
-    resid = float(stack_norm1(fc @ fd - fe).max())
-    assert resid < 1e-4
+    for c, order in ((finite_series(x(1), 2), 1), (dyson_series(2), 2)):
+        e = product_connection(c, d)
+        fc = evaluate_fliess(c, u, order).values
+        fe = evaluate_fliess(e, u, order + 2).values
+        resid = float(stack_norm1(fc @ fd - fe).max())
+        assert resid < 1e-4
 
 
 def test_product_connection_requires_finite_scalar():

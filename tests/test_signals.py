@@ -162,3 +162,17 @@ def test_csv_errors(tmp_path):
     missing_channel.write_text("t,ch,a11\n0.0,2,1\n0.1,2,1\n")
     with pytest.raises(SignalError):
         signal_from_csv(str(missing_channel))
+
+    for name, text, message in (
+        ("d.csv", "t,ch,a11,a12\n0.0,1,1,0\n0.1,1,1,0\n",
+         "CSV matrix columns are not a square count in"),
+        ("e.csv", "t,ch,a11\n", "no samples in"),
+        ("f.csv", "t,ch,a11\n0.0,1,1\n0.1,1,1\n0.0,2,1\n0.2,2,1\n",
+         "channels in {} disagree on the grid"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(SignalError) as err:
+            signal_from_csv(str(path))
+        want = message.format(path) if "{}" in message else f"{message} {path}"
+        assert str(err.value) == want

@@ -11,9 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrifliess.algebra import (
-    ParenthesisWord,
     delta_to_tree,
-    parse_parenthesis_word,
     render_tree_expr,
 )
 from dendrifliess.integrals import TreeEvaluator
@@ -158,8 +156,7 @@ def test_walks_equal_their_recursive_definitions(t):
     assert tree_from_json(ref_tree_to_json(t)) is ref_tree_from_json(ref_tree_to_json(t)) is t
     assert render_tree_expr(t) == ref_render(t)
     assert repr(t) == f"DecoratedTree({ref_render(t)!r})"
-    word = ParenthesisWord(tuple(ref_word_tokens(t)))
-    assert delta_to_tree(word) is t
+    assert delta_to_tree("".join(ref_word_tokens(t))) is t
     assert np.array_equal(TreeEvaluator(U).values(t), ref_values(t, U))
 
 
@@ -202,7 +199,7 @@ def test_every_walk_takes_100k_deep_combs():
 
 def test_deep_parenthesis_word():
     word = "x1[" * 2000 + "x1" + "]" * 2000
-    assert delta_to_tree(parse_parenthesis_word(word)) is left_comb((1,) * 2001)
+    assert delta_to_tree(word) is left_comb((1,) * 2001)
 
 
 def test_values_of_5000_deep_combs():
