@@ -121,20 +121,19 @@ def _print_polynomial(p: algebra.TreePolynomial, as_json: bool) -> None:
 def _cmd_trees(args) -> int:
     ts = trees.enumerate_trees(args.order)
     word = trees.parse_word(args.decorate) if args.decorate else None
-    records = []
-    for shape in ts:
-        if word is not None:
-            dec = trees.decorate(word, shape)
-            records.append(trees.tree_to_json(dec) if args.json
-                           else algebra.render_tree_expr(dec))
-        else:
-            records.append(shape)
+    show = trees.tree_to_json if args.json else algebra.render_tree_expr
+    records = [shape if word is None else show(trees.decorate(word, shape)) for shape in ts]
     if args.json:
         _print_json({"order": args.order, "count": len(ts), "trees": records})
     else:
         for rec in records:
             print(rec)
     return 0
+
+
+#: the products of ``algebra <name> <expr1> <expr2>``
+_PRODUCTS = {"shuffle": algebra.shuffle, "prec": algebra.prec, "succ": algebra.succ,
+             "prelie": algebra.pre_lie}
 
 
 def _cmd_algebra(args) -> int:
@@ -144,15 +143,9 @@ def _cmd_algebra(args) -> int:
             raise CliError("--letter takes a single letter like x1")
         _print_polynomial(algebra.char_trees(args.order, letter_word[0]), args.json)
         return 0
-    ops = {
-        "shuffle": algebra.shuffle,
-        "prec": algebra.prec,
-        "succ": algebra.succ,
-        "prelie": algebra.pre_lie,
-    }
     p = algebra.parse_dendriform_expr(args.expr1)
     q = algebra.parse_dendriform_expr(args.expr2)
-    _print_polynomial(ops[args.algebra_cmd](p, q), args.json)
+    _print_polynomial(_PRODUCTS[args.algebra_cmd](p, q), args.json)
     return 0
 
 
@@ -175,9 +168,7 @@ def _load_series(spec: str) -> operators.GeneratingSeries:
                 raise CliError("the series file nests too deeply to read as JSON") from None
         rule = data.get("rule") if isinstance(data, dict) else None
         if not (isinstance(rule, str) and rule.startswith("dyson:")):
-            terms = operators.terms_from_json(data)
-            m = max((max(trees.foliation(t), default=0) for t in terms), default=1)
-            return operators.finite_series(terms, max(m, 1))
+            return operators.finite_series(operators.terms_from_json(data))
         spec = rule
     return operators.dyson_series(int(spec.split(":", 1)[1]))
 
@@ -298,11 +289,9 @@ def _verify_product_theorem(seed: int) -> list[str]:
 
 
 def _refine_samples(samples: np.ndarray) -> np.ndarray:
-    mid = 0.5 * (samples[:, :-1] + samples[:, 1:])
-    m, nodes = samples.shape[0], samples.shape[1]
-    out = np.empty((m, 2 * nodes - 1) + samples.shape[2:])
-    out[:, 0::2] = samples
-    out[:, 1::2] = mid
+    """The samples with the midpoint of each step inserted between its ends."""
+    out = np.repeat(samples, 2, axis=1)[:, :-1]
+    out[:, 1::2] = 0.5 * (samples[:, :-1] + samples[:, 1:])
     return out
 
 
@@ -395,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("algebra", help="symbolic products")
     asub = p.add_subparsers(dest="algebra_cmd", required=True)
-    for name in ("shuffle", "prec", "succ", "prelie"):
+    for name in _PRODUCTS:
         ap = asub.add_parser(name)
         ap.add_argument("expr1")
         ap.add_argument("expr2")

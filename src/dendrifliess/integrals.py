@@ -13,6 +13,7 @@ evaluates no tree by itself.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +43,7 @@ from .trees import (
 
 __all__ = [
     "EvaluationResult",
+    "coefficient_matrix",
     "TreeEvaluator",
     "evaluate_tree",
     "evaluate_polynomial",
@@ -71,6 +73,22 @@ class EvaluationResult:
         return self.values[-1]
 
 
+def coefficient_matrix(tree: DecoratedTree, c: Coefficient) -> np.ndarray:
+    """``c`` as a float matrix, a scalar as its 1x1 matrix; a coefficient that is
+    not a finite float raises ``ValueError``, naming it and its tree."""
+    with contextlib.suppress(OverflowError):
+        a = np.atleast_2d(np.asarray(c, dtype=float))
+        if np.all(np.isfinite(a)):
+            return a
+    raise ValueError(f"coefficient {np.asarray(c).tolist()} of {tree!r} "
+                     "is not a finite float")
+
+
+def _check_letter(letter: int, u: MatrixSignal, what: str) -> None:
+    if letter > u.m:
+        raise SignalError(f"{what} x{letter} outside signal alphabet x0..x{u.m}")
+
+
 class TreeEvaluator:
     """Evaluates trees against one signal, sharing a subtree cache."""
 
@@ -89,9 +107,8 @@ class TreeEvaluator:
                 known = cache.get(v)
                 if known is not None:
                     out.append(known)
-                elif v.letter > u.m:
-                    raise SignalError(
-                        f"tree letter x{v.letter} outside signal alphabet x0..x{u.m}")
+                else:
+                    _check_letter(v.letter, u, "tree letter")
             elif stage == 2:
                 right = out.pop()
                 integrand = u.channel(v.letter)
@@ -103,12 +120,13 @@ class TreeEvaluator:
         return out[0]
 
     def weighted_sum(self, pairs: Iterable[tuple[DecoratedTree, Coefficient]]) -> np.ndarray:
-        """Sum of ``coeff * E_tree`` over the pairs; a matrix coefficient acts by
-        left multiplication, a scalar through ``float``; no pairs give zeros."""
+        """Sum of ``coeff * E_tree`` over the pairs, read by :func:`coefficient_matrix`:
+        a matrix acts by left multiplication, a scalar as its float; no pairs give zeros."""
         acc: np.ndarray | None = None
         for tree, coeff in pairs:
             e = self.values(tree)
-            term = coeff @ e if isinstance(coeff, np.ndarray) else float(coeff) * e
+            a = coefficient_matrix(tree, coeff)
+            term = a @ e if isinstance(coeff, np.ndarray) else a[0, 0] * e
             acc = term if acc is None else acc + term
         if acc is None:
             return np.zeros((self.u.num_steps + 1, self.u.dim, self.u.dim))
@@ -157,11 +175,13 @@ def bound_tree_factorial(t: DecoratedTree, u: MatrixSignal) -> float:
         raise ValueError("the tree-factorial bound needs a single-letter decoration")
     if not word:
         return 1.0
+    _check_letter(word[0], u, "tree letter")
     return ubar_totals(u).tolist()[word[0]] ** t.order / tree_factorial(skeleton(t))
 
 
 def bound_left_comb(word: Word, u: MatrixSignal) -> float:
     """Left-comb bound: product over letters of Ubar_j(T)^{n_j} / n_j!."""
+    _check_letter(max(word, default=0), u, "letter")
     totals = ubar_totals(u).tolist()
     out = 1.0
     for j in set(word):

@@ -26,14 +26,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import groupby
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .algebra import TreePolynomial, pre_lie, prec, shuffle, succ
-from .integrals import Coefficient, EvaluationResult, TreeEvaluator, evaluate_polynomial
+from .integrals import (Coefficient, EvaluationResult, TreeEvaluator, coefficient_matrix,
+                        evaluate_polynomial)
 from .signals import MatrixSignal, SignalError, matrix_norm1, stack_norm1, ubar_totals
-from .trees import DLEAF, DecoratedTree, canonical_key, graft, left_comb, tree_from_json
+from .trees import (DLEAF, DecoratedTree, canonical_key, foliation, graft, left_comb,
+                    tree_from_json)
 
 __all__ = [
     "GeneratingSeries",
@@ -56,11 +59,6 @@ __all__ = [
     "rk4_reference",
     "BRACKET_ORIENTATIONS",
 ]
-
-
-def _coeff_norm(c: Coefficient) -> float:
-    """Coefficient magnitude: max column absolute sum for a matrix, |c| for a scalar."""
-    return matrix_norm1(c) if isinstance(c, np.ndarray) else abs(float(c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +145,7 @@ def dyson_series(order: int) -> GeneratingSeries:
     """The finite series of the x1 left combs of orders 0..``order``, coefficient 1."""
     if not 0 <= order <= DYSON_ORDER_CAP:
         raise ValueError(f"Dyson order {order} outside 0..{DYSON_ORDER_CAP}")
-    combs = finite_series({left_comb((1,) * n): 1 for n in range(order + 1)}, 1)
+    combs = finite_series({left_comb((1,) * n): 1 for n in range(order + 1)})
     return replace(combs, growth_regime="factorial_left_comb")
 
 
@@ -169,20 +167,20 @@ def _read_only(c: Coefficient) -> Coefficient:
     return c
 
 
-def finite_series(terms: Mapping[DecoratedTree, Coefficient], m: int) -> GeneratingSeries:
+def finite_series(terms: Mapping[DecoratedTree, Coefficient]) -> GeneratingSeries:
     """Explicit coefficients: a :class:`TreePolynomial`, or a mapping from trees
-    to rationals or to square matrices of one shape.  Matrices are stored as
-    read-only copies, so ``K``, which bounds every coefficient's norm, stays
-    sound; M = 1."""
+    to rationals or to square matrices of one shape.  m is the largest letter and
+    K the largest norm of a nonzero coefficient, each at least 1; M = 1.  Matrices
+    are stored as read-only copies, so K stays sound, and each order's terms in
+    canonical order, so a sum does not depend on the order of ``terms``."""
     items = sorted(((t, _read_only(c)) for t, c in terms.items() if np.any(c)),
-                   key=lambda kv: canonical_key(kv[0]))
-    scale = max((_coeff_norm(c) for _, c in items), default=1.0)
-
-    def order_sum(ev: TreeEvaluator, n: int) -> np.ndarray:
-        return ev.weighted_sum((tree, c) for tree, c in items if tree.order == n)
-
-    return GeneratingSeries(m=m, K=max(scale, 1.0), M=1.0, growth_regime="geometric",
-                            order_sum=order_sum, terms=dict(items))
+                   key=lambda kv: canonical_key(kv[0]))  # the key starts with the order
+    by_order = {n: list(group) for n, group in groupby(items, lambda kv: kv[0].order)}
+    return GeneratingSeries(
+        m=max([1, *(x for t, _ in items for x in foliation(t))]),
+        K=max([1.0, *(matrix_norm1(coefficient_matrix(t, c)) for t, c in items)]), M=1.0,
+        growth_regime="geometric", terms=dict(items),
+        order_sum=lambda ev, n: ev.weighted_sum(by_order.get(n, ())))
 
 
 def _matrix_from_json(raw: list) -> np.ndarray:
@@ -232,7 +230,7 @@ def product_connection(c: GeneratingSeries, d: GeneratingSeries) -> GeneratingSe
     if any(isinstance(coeff, np.ndarray) for s in (c, d) for coeff in s.terms.values()):
         raise ValueError("product connection requires scalar coefficients")
     product = shuffle(TreePolynomial(c.terms), TreePolynomial(d.terms))
-    return finite_series(product, max(c.m, d.m))
+    return finite_series(product)
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +247,9 @@ def bernoulli(n: int) -> Fraction:
 
 
 def _bernoulli_table(n: int) -> list[Fraction]:
-    table: list[Fraction] = []
-    for k in range(n + 1):
-        if k == 0:
-            table.append(Fraction(1))
-            continue
-        acc = Fraction(0)
-        for j in range(k):
-            acc += math.comb(k + 1, j) * table[j]
-        table.append(-acc / (k + 1))
+    table = [Fraction(1)]
+    for k in range(1, n + 1):
+        table.append(-sum(math.comb(k + 1, j) * table[j] for j in range(k)) / (k + 1))
     return table
 
 
@@ -348,14 +340,12 @@ def resolve_pre_lie_orientation(u: MatrixSignal) -> str:
     refinement 4; the orientation with the smallest error wins.
     """
     reference = rk4_reference(u, 4)[-1]
-    best: tuple[float, str] | None = None
-    for orientation in BRACKET_ORIENTATIONS:
+
+    def error(orientation: str) -> float:
         omega = magnus_exponent(magnus_generating_series(3, orientation), u)
-        err = float(stack_norm1(matrix_exp(omega.at_horizon) - reference))
-        if best is None or err < best[0]:
-            best = (err, orientation)
-    assert best is not None
-    return best[1]
+        return float(stack_norm1(matrix_exp(omega.at_horizon) - reference))
+
+    return min(BRACKET_ORIENTATIONS, key=error)
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,8 @@ def test_criterion_7_magnus():
 def test_criterion_8_product_connection():
     # F_c F_d - F_{c sh d} residual decays at second order in h on finite
     # series with support order <= 2: halving ratios in [3.2, 4.8]
-    c = finite_series(x(1) + prec(x(1), x(2)), 2)
-    d = finite_series(x(2) - succ(x(2), x(1)).scale(Fraction(1, 2)), 2)
+    c = finite_series(x(1) + prec(x(1), x(2)))
+    d = finite_series(x(2) - succ(x(2), x(1)).scale(Fraction(1, 2)))
     e = product_connection(c, d)
     residuals = []
     for num_steps in (512, 1024, 2048):

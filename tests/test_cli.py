@@ -283,6 +283,26 @@ def test_fliess_coefficient_shape_must_match_the_signal(capsys, tmp_path):
         "error": "a 2x2 coefficient cannot act on the 1x1 values of the signal"}
 
 
+@pytest.mark.parametrize("coeff, expr, digits", [
+    ("1e400", None, "1" + "0" * 400), (int("9" * 400), None, "9" * 400),
+    (None, "9" * 400 + "*x1", "9" * 400),
+], ids=["series-1e400", "series-400-digits", "expr-400-digits"])
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_coefficient_too_large_for_a_float_is_a_clean_error(capsys, tmp_path, coeff,
+                                                            expr, digits, as_json):
+    # an exact rational too large for a float cannot weigh an iterated integral
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps([{"coeff": coeff, "tree": X1}]))
+    argv = (["eval", "tree", "--expr", expr] if expr else
+            ["fliess", "eval", "--series", str(path), "--order", "2", "--certificate"])
+    code, out, err = run(capsys, *(["--json"] if as_json else []), *argv,
+                         "--signal", "const:1.0", "--grid", "4")
+    assert code == 1 and out == ""
+    message = json.loads(err)["error"] if as_json else err.removeprefix("error: ")
+    assert message == f"coefficient {digits} of DecoratedTree('x1') is not a finite float" + (
+        "" if as_json else "\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["fliess", "eval", "--series", "dyson:3", "--signal", "const:1.0", "--order", "3"],
     ["magnus", "--signal", "spin:1.0,rot"],

@@ -34,6 +34,9 @@ CSV_FILES = [
 ]
 INFINITE_COEFF = '[{"coeff": Infinity, "tree": {"l": null, "x": 1, "r": null}}]'
 HUGE_ENTRY = '[{"coeff": [[' + "9" * 400 + ']], "tree": {"l": null, "x": 1, "r": null}}]'
+HUGE_STRING_COEFF = json.dumps([{"coeff": "1e400", "tree": X1}])
+HUGE_COEFF = '[{"coeff": ' + "9" * 400 + ', "tree": {"l": null, "x": 1, "r": null}}]'
+HUGE_EXPR = "9" * 400 + "*x1"
 SERIES_FILES = [
     json.dumps([{"coeff": "1/2", "tree": X1}]),
     json.dumps([{"coeff": [[0.5]], "tree": X1}]),
@@ -59,6 +62,8 @@ SERIES_FILES = [
     '[{"coeff": NaN, "tree": {"l": null, "x": 1, "r": null}}]',
     '[{"coeff": [[1e999]], "tree": {"l": null, "x": 1, "r": null}}]',
     HUGE_ENTRY,
+    HUGE_STRING_COEFF,
+    HUGE_COEFF,
     '[{"coeff": "1", "tree": ' + '{"l": null, "x": 1, "r": ' * 3000 + "null" + "}" * 3000 + "}]",
     "{",
     "",
@@ -82,7 +87,7 @@ signals = st.one_of(
 )
 exprs = st.one_of(
     edges(["x1", "(x1<x2)", "((x1>x1)<x1)", "2*x1 - 1/2*(x1>x0)", "x0"],
-          ["x3", "1", "(x1<x2", "x1<x2", "1/0*x1", "", "x1 ? x2"]),
+          ["x3", "1", "(x1<x2", "x1<x2", "1/0*x1", "", "x1 ? x2", HUGE_EXPR]),
     st.lists(st.sampled_from(["x1", "x0", "(", ")", "<", ">", "+", "-", "*", "2"]),
              max_size=8).map(" ".join),
 )
@@ -161,6 +166,15 @@ def workdir(tmp_path_factory):
 @example(as_json=False, argv=["fliess", "eval", "--series", "@series.json", "--signal",
                               "const:1", "--order", "-1"],
          csv_text=CSV_FILES[0], series_text=HUGE_ENTRY)
+@example(as_json=True, argv=["fliess", "eval", "--series", "@series.json", "--signal",
+                             "const:1", "--order", "1"],
+         csv_text=CSV_FILES[0], series_text=HUGE_STRING_COEFF)
+@example(as_json=False, argv=["fliess", "eval", "--series", "@series.json", "--signal",
+                              "const:1", "--order", "1", "--certificate"],
+         csv_text=CSV_FILES[0], series_text=HUGE_COEFF)
+@example(as_json=True, argv=["eval", "tree", "--expr", HUGE_EXPR, "--signal", "const:1.0",
+                             "--grid", "4"],
+         csv_text=CSV_FILES[0], series_text=SERIES_FILES[0])
 def test_cli_never_ends_in_a_traceback(workdir, as_json, argv,
                                        csv_text, series_text):
     (workdir / "signal.csv").write_text(csv_text)

@@ -136,6 +136,22 @@ def test_bound_tree_factorial_needs_single_letter(u22):
         bound_tree_factorial(left_comb((1, 2)), u22)
 
 
+@pytest.mark.parametrize("bound, arg, message", [
+    (bound_tree_factorial, graft(DLEAF, 5, DLEAF), "tree letter x5"),
+    (bound_tree_factorial, left_comb((2, 2)), "tree letter x2"),
+    (bound_left_comb, (5,), "letter x5"),
+    (bound_left_comb, (1, 0, 3, 1), "letter x3"),
+])
+def test_bounds_name_the_signal_alphabet(bound, arg, message):
+    # the error that evaluating a tree outside the alphabet raises
+    u = constant_signal(np.eye(2), 1.0, 4)
+    with pytest.raises(SignalError, match=f"^{message} outside signal alphabet x0..x1$"):
+        bound(arg, u)
+    if bound is bound_tree_factorial:
+        with pytest.raises(SignalError, match=f"^{message} outside signal alphabet x0..x1$"):
+            TreeEvaluator(u).values(arg)
+
+
 def _parent_totals(u):
     """The per-letter Ubar_j(T) as the bounds wrote it out before ubar_totals."""
     return [u.horizon if j == 0 else float(ubar_integrals(u)[j - 1, -1])

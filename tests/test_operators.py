@@ -103,9 +103,63 @@ def test_full_support_series_growth():
 
 def test_finite_series_roundtrip():
     p = x(1) + prec(x(1), x(2)).scale(Fraction(-2))
-    c = finite_series(p, 2)
+    c = finite_series(p)
     assert c.terms.get(graft(DLEAF, 1, DLEAF), 0) == 1
     assert all(t.order < 5 for t in c.terms)
+
+
+@pytest.mark.parametrize("terms, m", [
+    ({}, 1),
+    ({DLEAF: 3}, 1),
+    (x(0) + prec(x(0), x(0)), 1),  # drift only: m stays 1
+    (x(1) + prec(x(1), x(2)), 2),
+    ({graft(DLEAF, 4, DLEAF): Fraction(0), graft(DLEAF, 3, DLEAF): 1}, 3),  # zeros drop
+])
+def test_finite_series_reads_its_alphabet(terms, m):
+    assert finite_series(terms).m == m
+
+
+def test_finite_series_sums_do_not_depend_on_insertion_order():
+    coeffs = {t: Fraction(k + 1, 7) for k, t in
+              enumerate(t for n in range(4) for t in enumerate_decorated_trees(n, 2))}
+    ev = TreeEvaluator(_generic_signal())
+    forward, backward = finite_series(coeffs), finite_series(dict(reversed(coeffs.items())))
+    for n in range(5):
+        assert np.array_equal(forward.order_sum(ev, n), backward.order_sum(ev, n))
+    assert not np.any(forward.order_sum(ev, 4))
+
+
+@pytest.mark.parametrize("coeff", [
+    math.nan, math.inf, -math.inf, Fraction(10 ** 400), -Fraction(10 ** 400),
+    np.array([[1.0, math.nan], [0.0, 1.0]]), np.array([[math.inf]]),
+], ids=["nan", "inf", "-inf", "10^400", "-10^400", "nan-entry", "inf-entry"])
+def test_finite_series_refuses_coefficients_that_are_not_finite_floats(coeff):
+    with pytest.raises(ValueError, match=r"coefficient .* of DecoratedTree\('x1'\) "
+                                         "is not a finite float"):
+        finite_series({graft(DLEAF, 1, DLEAF): coeff})
+
+
+def test_polynomial_coefficient_too_large_for_a_float():
+    p = x(1).scale(Fraction(10 ** 400))
+    with pytest.raises(ValueError, match="is not a finite float"):
+        evaluate_polynomial(p, _generic_signal())
+
+
+def test_certificate_counts_every_letter_of_the_series():
+    # every tree of orders 0-4 over x0..x2 with coefficient 1; read with the
+    # alphabet x0 alone, the certificate claimed a tail of 0.0386 at N = 2
+    # against a true remainder of 0.164, and an order-1 bound of 0.3 < 0.48
+    c = finite_series({t: 1 for n in range(5) for t in enumerate_decorated_trees(n, 2)})
+    assert c.m == 2
+    u = constant_signal([0.3 * np.eye(2), 0.3 * np.eye(2)], 0.3, 64)
+    out = evaluate_fliess(c, u, 4)
+    cert = convergence_certificate(c, u, 2)
+    ratio = c.M * cert.R * (c.m + 1)
+    for n, increment in enumerate(out.increments):
+        assert float(stack_norm1(increment).max()) <= c.K * ratio ** n
+    remainder = float(stack_norm1(sum(out.increments[3:])[-1]))
+    assert remainder == pytest.approx(0.1637091, rel=1e-6)
+    assert cert.tail >= remainder
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -143,7 +197,7 @@ def test_finite_series_matches_polynomial():
          + shuffle(succ(x(2), x(0)), x(1)).scale(Fraction(5, 7))
          + TreePolynomial.single(left_comb((2, 1, 0, 1)), Fraction(3)))
     u = random_smooth_signal(np.random.default_rng(3), 2, 2, 1.0, 128, amplitude=0.5)
-    got = evaluate_fliess(finite_series(p, 2), u, 3).values
+    got = evaluate_fliess(finite_series(p), u, 3).values
     want = evaluate_polynomial(p.truncate(3), u).values
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
@@ -224,7 +278,7 @@ def test_full_support_sum_solves_riccati(case):
 
 def test_certificate_covers_matrix_coefficients():
     # K follows the coefficient norm, so the tail bounds the observed increment
-    c = finite_series({left_comb((1, 1)): 100 * np.eye(2)}, 1)
+    c = finite_series({left_comb((1, 1)): 100 * np.eye(2)})
     assert c.K == 100.0
     u = constant_signal(np.eye(2), 0.1, 64)
     out = evaluate_fliess(c, u, 2)
@@ -236,7 +290,7 @@ def test_certificate_covers_matrix_coefficients():
 def test_finite_series_stores_read_only_copies():
     # editing the caller's array afterwards cannot push a coefficient above K
     a = 2 * np.eye(2)
-    c = finite_series({left_comb((1,)): a, left_comb((1, 1)): np.zeros((2, 2))}, 1)
+    c = finite_series({left_comb((1,)): a, left_comb((1, 1)): np.zeros((2, 2))})
     a[0, 0] = 100.0
     [stored] = c.terms.values()
     assert c.K == 2.0 and stored[0, 0] == 2.0 and not stored.flags.writeable
@@ -244,8 +298,8 @@ def test_finite_series_stores_read_only_copies():
 
 
 def test_product_connection_accepts_rational_mapping():
-    c = finite_series({graft(DLEAF, 1, DLEAF): Fraction(2)}, 1)
-    e = product_connection(c, finite_series(x(1), 1))
+    c = finite_series({graft(DLEAF, 1, DLEAF): Fraction(2)})
+    e = product_connection(c, finite_series(x(1)))
     assert e.terms == {t: 2 * k for t, k in shuffle(x(1), x(1)).items()}
 
 
@@ -264,11 +318,11 @@ def test_certificate_requires_geometric_regime():
 
 
 def test_product_connection_identity():
-    d = finite_series(prec(x(2), x(1)), 2)
+    d = finite_series(prec(x(2), x(1)))
     u = random_smooth_signal(np.random.default_rng(0), 2, 2, 1.0, 1024,
                              amplitude=0.5)
     fd = evaluate_fliess(d, u, 2).values
-    for c, order in ((finite_series(x(1), 2), 1), (dyson_series(2), 2)):
+    for c, order in ((finite_series(x(1)), 1), (dyson_series(2), 2)):
         e = product_connection(c, d)
         fc = evaluate_fliess(c, u, order).values
         fe = evaluate_fliess(e, u, order + 2).values
@@ -278,10 +332,10 @@ def test_product_connection_identity():
 
 def test_product_connection_requires_finite_scalar():
     with pytest.raises(ValueError):
-        product_connection(full_support_series(1), finite_series(x(1), 1))
-    c = finite_series({graft(DLEAF, 1, DLEAF): np.eye(2)}, 1)
+        product_connection(full_support_series(1), finite_series(x(1)))
+    c = finite_series({graft(DLEAF, 1, DLEAF): np.eye(2)})
     with pytest.raises(ValueError):
-        product_connection(c, finite_series(x(1), 1))
+        product_connection(c, finite_series(x(1)))
 
 
 # ---------------------------------------------------------------------------
