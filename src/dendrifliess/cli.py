@@ -352,8 +352,7 @@ def _cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     all_failures: dict[str, list[str]] = {}
     for name in names:
-        failures = _SUITES[name](args.seed)
-        all_failures[name] = failures
+        failures = all_failures[name] = _SUITES[name](args.seed)
         status = "ok" if not failures else f"FAILED ({len(failures)})"
         if not args.json:
             print(f"{name}: {status}")

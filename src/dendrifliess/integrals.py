@@ -78,7 +78,7 @@ def coefficient_matrix(tree: DecoratedTree, c: Coefficient) -> np.ndarray:
     not a finite float raises ``ValueError``, naming it and its tree."""
     with contextlib.suppress(OverflowError):
         a = np.atleast_2d(np.asarray(c, dtype=float))
-        if np.all(np.isfinite(a)):
+        if np.isfinite(a).all():
             return a
     raise ValueError(f"coefficient {np.asarray(c).tolist()} of {tree!r} "
                      "is not a finite float")
@@ -183,11 +183,8 @@ def bound_left_comb(word: Word, u: MatrixSignal) -> float:
     """Left-comb bound: product over letters of Ubar_j(T)^{n_j} / n_j!."""
     _check_letter(max(word, default=0), u, "letter")
     totals = ubar_totals(u).tolist()
-    out = 1.0
-    for j in set(word):
-        n_j = word.count(j)
-        out *= totals[j] ** n_j / math.factorial(n_j)
-    return out
+    return math.prod(totals[j] ** word.count(j) / math.factorial(word.count(j))
+                     for j in set(word))
 
 
 def check_ubar_domination(t: DecoratedTree, u: MatrixSignal) -> tuple[float, float]:

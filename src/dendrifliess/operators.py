@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import groupby
 from typing import Callable, Mapping
 
 import numpy as np
@@ -34,8 +33,8 @@ import numpy as np
 from .algebra import TreePolynomial, pre_lie, prec, shuffle, succ
 from .integrals import (Coefficient, EvaluationResult, TreeEvaluator, coefficient_matrix,
                         evaluate_polynomial)
-from .signals import MatrixSignal, SignalError, matrix_norm1, stack_norm1, ubar_totals
-from .trees import (DLEAF, DecoratedTree, canonical_key, foliation, graft, left_comb,
+from .signals import MatrixSignal, SignalError, stack_norm1, ubar_totals
+from .trees import (DLEAF, DecoratedTree, _tour, canonical_key, graft, left_comb,
                     tree_from_json)
 
 __all__ = [
@@ -168,18 +167,22 @@ def _read_only(c: Coefficient) -> Coefficient:
 
 
 def finite_series(terms: Mapping[DecoratedTree, Coefficient]) -> GeneratingSeries:
-    """Explicit coefficients: a :class:`TreePolynomial`, or a mapping from trees
-    to rationals or to square matrices of one shape.  m is the largest letter and
-    K the largest norm of a nonzero coefficient, each at least 1; M = 1.  Matrices
-    are stored as read-only copies, so K stays sound, and each order's terms in
-    canonical order, so a sum does not depend on the order of ``terms``."""
+    """Explicit coefficients: a :class:`TreePolynomial`, or a mapping from trees to
+    rationals or to square matrices of one shape.  m is the largest letter and K the
+    largest norm of a nonzero coefficient, each at least 1; M = 1.  Matrices are kept
+    as read-only copies, so K stays sound, and each order's terms in canonical order,
+    so their sum does not depend on the order of ``terms``."""
     items = sorted(((t, _read_only(c)) for t, c in terms.items() if np.any(c)),
-                   key=lambda kv: canonical_key(kv[0]))  # the key starts with the order
-    by_order = {n: list(group) for n, group in groupby(items, lambda kv: kv[0].order)}
+                   key=lambda kv: canonical_key(kv[0]))
+    by_order: dict[int, list[tuple[DecoratedTree, Coefficient]]] = {}
+    vertices: set[DecoratedTree] = set()  # a subtree that terms share is walked once
+    for tree, c in items:
+        by_order.setdefault(tree.order, []).append((tree, c))
+        vertices.update(v for v, stage in _tour(tree, vertices) if stage == 1)
     return GeneratingSeries(
-        m=max([1, *(x for t, _ in items for x in foliation(t))]),
-        K=max([1.0, *(matrix_norm1(coefficient_matrix(t, c)) for t, c in items)]), M=1.0,
-        growth_regime="geometric", terms=dict(items),
+        m=max([1, *(v.letter for v in vertices)]),
+        K=max([1.0, *(float(stack_norm1(coefficient_matrix(t, c))) for t, c in items)]),
+        M=1.0, growth_regime="geometric", terms=dict(items),
         order_sum=lambda ev, n: ev.weighted_sum(by_order.get(n, ())))
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,7 @@ from dendrifliess.trees import (
     DLEAF,
     catalan,
     enumerate_decorated_trees,
+    foliation,
     graft,
     left_comb,
 )
@@ -114,9 +116,20 @@ def test_finite_series_roundtrip():
     (x(0) + prec(x(0), x(0)), 1),  # drift only: m stays 1
     (x(1) + prec(x(1), x(2)), 2),
     ({graft(DLEAF, 4, DLEAF): Fraction(0), graft(DLEAF, 3, DLEAF): 1}, 3),  # zeros drop
+    ({left_comb((2, 5)): 1, graft(left_comb((2, 5)), 1, left_comb((2, 5))): 1}, 5),
 ])
 def test_finite_series_reads_its_alphabet(terms, m):
     assert finite_series(terms).m == m
+
+
+def test_finite_series_alphabet_is_the_largest_letter():
+    # subtrees shared between terms are walked once; foliation is the reference
+    rng = random.Random(0)
+    pool = [t for n in range(5) for t in enumerate_decorated_trees(n, 3)]
+    for _ in range(300):
+        support = rng.sample(pool, rng.randint(0, 8))
+        want = max([1, *(x for t in support for x in foliation(t))])
+        assert finite_series({t: 1 for t in support}).m == want
 
 
 def test_finite_series_sums_do_not_depend_on_insertion_order():
