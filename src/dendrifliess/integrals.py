@@ -85,7 +85,7 @@ def coefficient_matrix(tree: DecoratedTree, c: Coefficient) -> np.ndarray:
 
 
 def _check_letter(letter: int, u: MatrixSignal, what: str) -> None:
-    if letter > u.m:
+    if not 0 <= letter <= u.m:
         raise SignalError(f"{what} x{letter} outside signal alphabet x0..x{u.m}")
 
 
@@ -181,7 +181,8 @@ def bound_tree_factorial(t: DecoratedTree, u: MatrixSignal) -> float:
 
 def bound_left_comb(word: Word, u: MatrixSignal) -> float:
     """Left-comb bound: product over letters of Ubar_j(T)^{n_j} / n_j!."""
-    _check_letter(max(word, default=0), u, "letter")
+    for j in set(word):
+        _check_letter(j, u, "letter")
     totals = ubar_totals(u).tolist()
     return math.prod(totals[j] ** word.count(j) / math.factorial(word.count(j))
                      for j in set(word))

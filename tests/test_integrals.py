@@ -141,6 +141,7 @@ def test_bound_tree_factorial_needs_single_letter(u22):
     (bound_tree_factorial, left_comb((2, 2)), "tree letter x2"),
     (bound_left_comb, (5,), "letter x5"),
     (bound_left_comb, (1, 0, 3, 1), "letter x3"),
+    (bound_left_comb, (1, -1), "letter x-1"),  # not read as the last letter
 ])
 def test_bounds_name_the_signal_alphabet(bound, arg, message):
     # the error that evaluating a tree outside the alphabet raises
