@@ -33,7 +33,7 @@ import numpy as np
 from .algebra import TreePolynomial, pre_lie, prec, shuffle, succ
 from .integrals import (Coefficient, EvaluationResult, TreeEvaluator, coefficient_matrix,
                         evaluate_polynomial)
-from .signals import MatrixSignal, SignalError, stack_norm1, ubar_totals
+from .signals import MatrixSignal, SignalError, matrix_norm1, stack_norm1, ubar_totals
 from .trees import (DLEAF, DecoratedTree, _tour, canonical_key, graft, left_comb,
                     tree_from_json)
 
@@ -181,8 +181,8 @@ def finite_series(terms: Mapping[DecoratedTree, Coefficient]) -> GeneratingSerie
         vertices.update(v for v, stage in _tour(tree, vertices) if stage == 1)
     return GeneratingSeries(
         m=max([1, *(v.letter for v in vertices)]),
-        K=max([1.0, *(float(stack_norm1(coefficient_matrix(t, c))) for t, c in items)]),
-        M=1.0, growth_regime="geometric", terms=dict(items),
+        K=max([1.0, *(matrix_norm1(coefficient_matrix(t, c)) for t, c in items)]), M=1.0,
+        growth_regime="geometric", terms=dict(items),
         order_sum=lambda ev, n: ev.weighted_sum(by_order.get(n, ())))
 
 
