@@ -97,7 +97,7 @@ class TreeEvaluator:
         self._eye = np.broadcast_to(
             np.eye(u.dim), (u.num_steps + 1, u.dim, u.dim))
         self._cache: dict[DecoratedTree, np.ndarray] = {DLEAF: self._eye}
-        self._sums: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
+        self._sums: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
 
     def values(self, t: DecoratedTree) -> np.ndarray:
         cache, u = self._cache, self.u
@@ -133,16 +133,17 @@ class TreeEvaluator:
         return acc
 
     def all_trees_sum(self, m: int, n: int) -> np.ndarray:
-        """S_n, the sum of E_eta over all trees of order ``n`` with letters
-        x0..xm, by the root split: S_0 = I, S_k = trapezoid(sum_j S_j U S_{k-1-j})
-        with U = u_0 + ... + u_m.  The trapezoid is linear, so this equals the
-        tree-by-tree sum on the grid; U and S_0..S_n are kept per ``m``."""
+        """S_n, the sum of E_eta over all trees of order ``n`` with letters x0..xm, by
+        the root split: S_0 = I, S_k = trapezoid(P_0 S_{k-1} + ... + P_{k-2} S_1 + P_{k-1}),
+        P_j = S_j U, P_0 = U = u_0 + ... + u_m.  The trapezoid is linear, so this is the
+        tree-by-tree sum; S_j and P_j are kept per ``m`` (n(n-1)/2 + n-1 products)."""
         if m not in self._sums:
-            self._sums[m] = sum(self.u.channel(i) for i in range(m + 1)), [self._eye]
-        big_u, sums = self._sums[m]
+            self._sums[m] = [self._eye], [sum(map(self.u.channel, range(1, m + 1)), self._eye)]
+        sums, prods = self._sums[m]
         while len(sums) <= n:
-            k = len(sums)
-            integrand = sum(sums[j] @ big_u @ sums[k - 1 - j] for j in range(k))
+            if len(prods) < len(sums):  # P_{k-1}, first read by order k
+                prods.append(sums[-1] @ prods[0])
+            integrand = sum(p @ s for p, s in zip(prods, sums[:0:-1])) + prods[-1]
             sums.append(trapezoid_prefix(integrand, self.u.h))
         return sums[n]
 

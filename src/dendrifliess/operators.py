@@ -24,6 +24,7 @@ shuffle-exponential of the recursion's fixed point).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -34,8 +35,7 @@ from .algebra import TreePolynomial, pre_lie, prec, shuffle, succ
 from .integrals import (Coefficient, EvaluationResult, TreeEvaluator, coefficient_matrix,
                         evaluate_polynomial)
 from .signals import MatrixSignal, SignalError, matrix_norm1, stack_norm1, ubar_totals
-from .trees import (DLEAF, DecoratedTree, _tour, canonical_key, graft, left_comb,
-                    tree_from_json)
+from .trees import DLEAF, DecoratedTree, _tour, canonical_key, graft, tree_from_json
 
 __all__ = [
     "GeneratingSeries",
@@ -93,9 +93,7 @@ def evaluate_fliess(c: GeneratingSeries, u: MatrixSignal, order: int) -> Evaluat
                           f"{u.dim}x{u.dim} values of the signal")
     ev = TreeEvaluator(u)
     increments = [c.order_sum(ev, n) for n in range(order + 1)]
-    values = increments[0].copy()
-    for inc in increments[1:]:
-        values += inc
+    values = sum(increments[1:], increments[0].copy())
     return EvaluationResult(u.grid, values, increments)
 
 
@@ -144,19 +142,24 @@ def dyson_series(order: int) -> GeneratingSeries:
     """The finite series of the x1 left combs of orders 0..``order``, coefficient 1."""
     if not 0 <= order <= DYSON_ORDER_CAP:
         raise ValueError(f"Dyson order {order} outside 0..{DYSON_ORDER_CAP}")
-    combs = finite_series({left_comb((1,) * n): 1 for n in range(order + 1)})
-    return replace(combs, growth_regime="factorial_left_comb")
+    combs = [DLEAF]
+    for _ in range(order):  # comb n is x1 over comb n-1, the tree left_comb((1,) * n) builds
+        combs.append(DecoratedTree(DLEAF, 1, combs[-1]))
+    return replace(finite_series(dict.fromkeys(combs, 1)), growth_regime="factorial_left_comb")
 
 
 def full_support_series(m: int, K: float = 1.0, M: float = 1.0) -> GeneratingSeries:
     """All trees, all words over x0..xm, coefficient K * M^order (geometric
     regime).  Each order is summed through the root split of its trees
     (:meth:`TreeEvaluator.all_trees_sum`), so no tree is enumerated and every
-    order evaluates."""
-    def order_sum(ev: TreeEvaluator, n: int) -> np.ndarray:
-        return float(Fraction(K) * Fraction(M) ** n) * ev.all_trees_sum(m, n)
-
-    return GeneratingSeries(m=m, K=K, M=M, growth_regime="geometric", order_sum=order_sum)
+    order evaluates.  K and M must be finite and positive."""
+    for name, v in (("K", K), ("M", M)):
+        if not 0 < v <= sys.float_info.max:  # refuses NaN and infinities too
+            raise ValueError(f"{name} must be finite and positive, got {v!r}")
+    (a, b), (c, d) = Fraction(K).as_integer_ratio(), Fraction(M).as_integer_ratio()
+    return GeneratingSeries(  # K M^n as a quotient of ints, which rounds correctly
+        m=m, K=K, M=M, growth_regime="geometric",
+        order_sum=lambda ev, n: a * c ** n / (b * d ** n) * ev.all_trees_sum(m, n))
 
 
 def _read_only(c: Coefficient) -> Coefficient:
@@ -172,13 +175,16 @@ def finite_series(terms: Mapping[DecoratedTree, Coefficient]) -> GeneratingSerie
     largest norm of a nonzero coefficient, each at least 1; M = 1.  Matrices are kept
     as read-only copies, so K stays sound, and each order's terms in canonical order,
     so their sum does not depend on the order of ``terms``."""
-    items = sorted(((t, _read_only(c)) for t, c in terms.items() if np.any(c)),
-                   key=lambda kv: canonical_key(kv[0]))
     by_order: dict[int, list[tuple[DecoratedTree, Coefficient]]] = {}
     vertices: set[DecoratedTree] = set()  # a subtree that terms share is walked once
-    for tree, c in items:
-        by_order.setdefault(tree.order, []).append((tree, c))
-        vertices.update(v for v, stage in _tour(tree, vertices) if stage == 1)
+    for tree, c in terms.items():
+        if np.any(c):
+            by_order.setdefault(tree.order, []).append((tree, _read_only(c)))
+            vertices.update(v for v, stage in _tour(tree, vertices) if stage == 1)
+    for group in by_order.values():  # canonical_key starts with the order
+        if len(group) > 1:
+            group.sort(key=lambda kv: canonical_key(kv[0]))
+    items = [kv for n in sorted(by_order) for kv in by_order[n]]
     return GeneratingSeries(
         m=max([1, *(v.letter for v in vertices)]),
         K=max([1.0, *(matrix_norm1(coefficient_matrix(t, c)) for t, c in items)]), M=1.0,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -108,9 +109,11 @@ class MatrixSignal:
     def h(self) -> float:
         return self.horizon / self.num_steps
 
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.num_steps + 1)
+    @cached_property
+    def grid(self) -> np.ndarray:  # built once per signal, read-only
+        grid = np.linspace(0.0, self.horizon, self.num_steps + 1)
+        grid.setflags(write=False)
+        return grid
 
     def channel(self, i: int) -> np.ndarray:
         """Sampled values of channel ``i``; channel 0 is the identity."""

@@ -27,12 +27,14 @@ from dendrifliess.operators import (
     rk4_reference,
 )
 from dendrifliess.signals import (
+    MatrixSignal,
     SignalError,
     constant_signal,
     random_smooth_signal,
     signal_norm,
     spin_field,
     stack_norm1,
+    trapezoid_prefix,
 )
 from dendrifliess.trees import (
     DLEAF,
@@ -84,6 +86,12 @@ def test_dyson_series_is_a_finite_series():
     assert (c.m, c.K, c.M, c.growth_regime) == (1, 1.0, 1.0, "factorial_left_comb")
 
 
+def test_dyson_series_lists_its_combs_by_order():
+    c = dyson_series(DYSON_ORDER_CAP)
+    assert list(c.terms) == [left_comb((1,) * n) for n in range(DYSON_ORDER_CAP + 1)]
+    assert (c.m, c.K) == (1, 1.0)
+
+
 def _tree_by_tree(ev: TreeEvaluator, n: int, m: int, coeff: float = 1.0) -> np.ndarray:
     """The per-tree reference: coeff times the sum of E over all trees of order n on x0..xm."""
     return ev.weighted_sum((t, coeff) for t in enumerate_decorated_trees(n, m))
@@ -101,6 +109,67 @@ def test_full_support_series_growth():
         c = full_support_series(m, K=K, M=M)
         for n in range(5):
             _assert_close(c.order_sum(ev, n), _tree_by_tree(ev, n, m, K * M ** n))
+
+
+def _parent_root_split(u, m: int, n: int) -> list[np.ndarray]:
+    """S_0..S_n by the root split as first written: S_k is the trapezoid of
+    sum_j S_j U S_{k-1-j}, with U summed from channel 0 up."""
+    big_u = sum(u.channel(i) for i in range(m + 1))
+    sums = [np.broadcast_to(np.eye(u.dim), (u.num_steps + 1, u.dim, u.dim))]
+    for k in range(1, n + 1):
+        integrand = sum(sums[j] @ big_u @ sums[k - 1 - j] for j in range(k))
+        sums.append(trapezoid_prefix(integrand, u.h))
+    return sums
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_full_support_increments_match_the_plain_root_split_bitwise(dim):
+    # the Cauchy-product form (P_j = S_j U kept, no product with S_0 = I)
+    # adds the same products in the same order, so every increment is the
+    # same float array as the plain sum_j S_j U S_{k-1-j} times K M^n
+    rng = np.random.default_rng(40 + dim)
+    samples = random_smooth_signal(rng, 3, dim, 0.3, 24, amplitude=0.6).samples.copy()
+    samples[1, ::3] = 0.0  # exact zeros, whose signs the order of the sums could flip
+    u = MatrixSignal(samples, 0.3)
+    constants = [(1.0, 1.0), (2, 3), (0.3, 1.9), (Fraction(2, 3), Fraction(5, 7)),
+                 (2.0, 0.7), (Fraction(7), 1)]
+    for m in range(4):
+        sums = _parent_root_split(u, m, 9)
+        for K, M in constants:
+            out = evaluate_fliess(full_support_series(m, K, M), u, 9)
+            for n, inc in enumerate(out.increments):
+                want = float(Fraction(K) * Fraction(M) ** n) * sums[n]
+                assert inc.tobytes() == want.tobytes(), (m, K, M, n)
+
+
+class _UnitSums:
+    """Stands in for an evaluator whose every S_n is 1, so an order is its weight."""
+
+    def all_trees_sum(self, m: int, n: int) -> np.ndarray:
+        return np.ones(1)
+
+
+def test_full_support_weights_match_the_fraction_power_bitwise():
+    rng = random.Random(2021)
+    kinds = (lambda: rng.uniform(1e-3, 50.0), lambda: rng.randint(1, 10 ** 6),
+             lambda: Fraction(rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 9)))
+    for _ in range(10_000):
+        K, M, n = rng.choice(kinds)(), rng.choice(kinds)(), rng.randint(0, 12)
+        got = full_support_series(0, K, M).order_sum(_UnitSums(), n)[0]
+        assert got == float(Fraction(K) * Fraction(M) ** n), (K, M, n)
+
+
+@pytest.mark.parametrize("constants, name", [
+    ({"M": -1.0}, "M"), ({"K": -1.0}, "K"), ({"M": 0.0}, "M"), ({"K": math.inf}, "K"),
+    ({"M": math.nan}, "M"), ({"K": Fraction(10 ** 400)}, "K"),
+], ids=["M=-1", "K=-1", "M=0", "K=inf", "M=nan", "K=10^400"])
+def test_full_support_refuses_constants_that_make_unsound_certificates(constants, name):
+    # a negative K or M certified tails below the true remainder (M = -1:
+    # -0.0208 against 0.0127; K = -1: -0.0625 against 0.0336 on this input),
+    # M = 0 divided by zero in the certificate, and K = inf overflowed
+    u = constant_signal(np.array([[0.8]]), 0.25, 64)
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and positive"):
+        convergence_certificate(full_support_series(1, **constants), u, 4)
 
 
 def test_finite_series_roundtrip():

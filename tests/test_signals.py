@@ -76,6 +76,15 @@ def test_grid_properties():
     assert np.allclose(u.grid, np.linspace(0.0, 2.0, 9))
 
 
+def test_grid_is_built_once_and_read_only():
+    u = constant_signal(np.eye(2), 2.0, 8)
+    assert u.grid is u.grid
+    assert not u.grid.flags.writeable
+    assert np.array_equal(u.grid, np.linspace(0.0, 2.0, 9))
+    with pytest.raises(ValueError):
+        u.grid[1] = 5.0
+
+
 def test_samples_are_immutable():
     u = constant_signal(np.eye(2), 1.0, 4)
     with pytest.raises(ValueError):
