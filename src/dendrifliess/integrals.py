@@ -138,6 +138,7 @@ class TreeEvaluator:
         P_j = S_j U, P_0 = U = u_0 + ... + u_m.  The trapezoid is linear, so this is the
         tree-by-tree sum; S_j and P_j are kept per ``m`` (n(n-1)/2 + n-1 products)."""
         if m not in self._sums:
+            _check_letter(m, self.u, "series letter")
             self._sums[m] = [self._eye], [sum(map(self.u.channel, range(1, m + 1)), self._eye)]
         sums, prods = self._sums[m]
         while len(sums) <= n:

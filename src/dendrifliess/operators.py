@@ -177,10 +177,9 @@ def finite_series(terms: Mapping[DecoratedTree, Coefficient]) -> GeneratingSerie
     so their sum does not depend on the order of ``terms``."""
     by_order: dict[int, list[tuple[DecoratedTree, Coefficient]]] = {}
     vertices: set[DecoratedTree] = set()  # a subtree that terms share is walked once
-    for tree, c in terms.items():
-        if np.any(c):
-            by_order.setdefault(tree.order, []).append((tree, _read_only(c)))
-            vertices.update(v for v, stage in _tour(tree, vertices) if stage == 1)
+    for tree, c in ((t, _read_only(c)) for t, c in terms.items() if np.any(c)):
+        by_order.setdefault(tree.order, []).append((tree, c))
+        vertices.update(v for v, stage in _tour(tree, vertices) if stage == 1)
     for group in by_order.values():  # canonical_key starts with the order
         if len(group) > 1:
             group.sort(key=lambda kv: canonical_key(kv[0]))
