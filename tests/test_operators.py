@@ -105,8 +105,8 @@ def test_full_support_series_growth():
             _assert_close(c.order_sum(ev, n), _tree_by_tree(ev, n, m, K * M ** n))
 
 
-def _parent_root_split(u, m: int, n: int) -> list[np.ndarray]:
-    """S_0..S_n by the root split as first written: S_k is the trapezoid of
+def _plain_root_split(u, m: int, n: int) -> list[np.ndarray]:
+    """S_0..S_n by the plain root split: S_k is the trapezoid of
     sum_j S_j U S_{k-1-j}, with U summed from channel 0 up."""
     big_u = sum(u.channel(i) for i in range(m + 1))
     sums = [np.broadcast_to(np.eye(u.dim), (u.num_steps + 1, u.dim, u.dim))]
@@ -128,7 +128,7 @@ def test_full_support_increments_match_the_plain_root_split_bitwise(dim):
     constants = [(1.0, 1.0), (2, 3), (0.3, 1.9), (Fraction(2, 3), Fraction(5, 7)),
                  (2.0, 0.7), (Fraction(7), 1)]
     for m in range(4):
-        sums = _parent_root_split(u, m, 9)
+        sums = _plain_root_split(u, m, 9)
         for K, M in constants:
             out = evaluate_fliess(full_support_series(m, K, M), u, 9)
             for n, inc in enumerate(out.increments):
