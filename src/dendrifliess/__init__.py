@@ -55,12 +55,10 @@ from .signals import (
     MatrixSignal,
     SignalError,
     constant_signal,
-    matrix_norm1,
     random_smooth_signal,
     signal_from_csv,
     signal_norm,
     signal_to_csv,
-    sinusoid_signal,
     spin_field,
     ubar,
 )

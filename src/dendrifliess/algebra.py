@@ -98,24 +98,12 @@ class TreePolynomial:
 
     # construction helpers -------------------------------------------------
     @classmethod
-    def zero(cls) -> "TreePolynomial":
-        return cls()
-
-    @classmethod
     def single(cls, tree: DecoratedTree, coeff: Fraction = Fraction(1)) -> "TreePolynomial":
         return cls({tree: coeff})
-
-    @classmethod
-    def unit(cls) -> "TreePolynomial":
-        """The empty word (leaf) with coefficient 1: the shuffle unit."""
-        return cls({DLEAF: Fraction(1)})
 
     # inspection -----------------------------------------------------------
     def coefficient(self, tree: DecoratedTree) -> Fraction:
         return Fraction(self._nums.get(tree, 0), self._den)
-
-    def support(self) -> set[DecoratedTree]:
-        return set(self._nums)
 
     def items(self) -> Iterator[tuple[DecoratedTree, Fraction]]:
         den = self._den
@@ -127,10 +115,6 @@ class TreePolynomial:
 
     def has_leaf_term(self) -> bool:
         return DLEAF in self._nums
-
-    def homogeneous_part(self, n: int) -> "TreePolynomial":
-        return TreePolynomial._of(
-            {t: c for t, c in self._nums.items() if t.order == n}, self._den)
 
     def truncate(self, n: int) -> "TreePolynomial":
         return TreePolynomial._of(

@@ -9,6 +9,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -52,9 +53,13 @@ def _parse_signal(spec: str, grid: int, horizon: float) -> signals.MatrixSignal:
         return signals.constant_signal(_parse_matrix(rest), horizon, grid)
     if kind == "spin":
         mag_text, _, schedule = rest.partition(",")
+        try:
+            magnitude = float(mag_text)
+        except ValueError:
+            schedule = ""  # refused below, as a missing schedule is
         if not schedule:
-            raise CliError("spin spec needs 'spin:<Bmag>,<schedule>'")
-        return signals.spin_field(float(mag_text), schedule, horizon, grid)
+            raise CliError(f"bad signal spec {spec!r}: expected spin:<Bmag>,<schedule>")
+        return signals.spin_field(magnitude, schedule, horizon, grid)
     raise CliError(f"unknown signal spec {spec!r} ({SIGNAL_SPEC_HELP})")
 
 
@@ -170,7 +175,11 @@ def _load_series(spec: str) -> operators.GeneratingSeries:
         if not (isinstance(rule, str) and rule.startswith("dyson:")):
             return operators.finite_series(operators.terms_from_json(data))
         spec = rule
-    return operators.dyson_series(int(spec.split(":", 1)[1]))
+    try:
+        order = int(spec.split(":", 1)[1])
+    except ValueError:
+        raise CliError(f"bad series spec {spec!r}: expected dyson:<N>") from None
+    return operators.dyson_series(order)
 
 
 def _certificate(series: operators.GeneratingSeries, u: signals.MatrixSignal,
@@ -348,6 +357,14 @@ _SUITES = {
 }
 
 
+def _seed(text: str) -> int:
+    """A ``--seed``: a non-negative integer, as numpy's seeded generators need."""
+    with contextlib.suppress(ValueError):
+        if (seed := int(text)) >= 0:
+            return seed
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
 def _cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     all_failures: dict[str, list[str]] = {}
@@ -426,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run seeded verification suites")
     p.add_argument("suite", choices=list(_SUITES) + ["all"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -136,7 +136,8 @@ class TreeEvaluator:
         """S_n, the sum of E_eta over all trees of order ``n`` with letters x0..xm, by
         the root split: S_0 = I, S_k = trapezoid(P_0 S_{k-1} + ... + P_{k-2} S_1 + P_{k-1}),
         P_j = S_j U, P_0 = U = u_0 + ... + u_m.  The trapezoid is linear, so this is the
-        tree-by-tree sum; S_j and P_j are kept per ``m`` (n(n-1)/2 + n-1 products)."""
+        tree-by-tree sum; S_j and P_j are kept per ``m`` (n(n-1)/2 + n-1 products).
+        A negative order has no trees, so its sum is zero."""
         if m not in self._sums:
             _check_letter(m, self.u, "series letter")
             self._sums[m] = [self._eye], [sum(map(self.u.channel, range(1, m + 1)), self._eye)]
@@ -146,10 +147,7 @@ class TreeEvaluator:
                 prods.append(sums[-1] @ prods[0])
             integrand = sum(p @ s for p, s in zip(prods, sums[:0:-1])) + prods[-1]
             sums.append(trapezoid_prefix(integrand, self.u.h))
-        return sums[n]
-
-    def polynomial(self, p: TreePolynomial) -> np.ndarray:
-        return self.weighted_sum(p.items())
+        return sums[n] if n >= 0 else np.zeros(self._eye.shape)
 
 
 def evaluate_tree(t: DecoratedTree, u: MatrixSignal) -> EvaluationResult:
@@ -157,7 +155,7 @@ def evaluate_tree(t: DecoratedTree, u: MatrixSignal) -> EvaluationResult:
 
 
 def evaluate_polynomial(p: TreePolynomial, u: MatrixSignal) -> EvaluationResult:
-    return EvaluationResult(u.grid, TreeEvaluator(u).polynomial(p))
+    return EvaluationResult(u.grid, TreeEvaluator(u).weighted_sum(p.items()))
 
 
 def check_product_identity(t1: DecoratedTree, t2: DecoratedTree,
@@ -165,8 +163,8 @@ def check_product_identity(t1: DecoratedTree, t2: DecoratedTree,
     """Max-over-grid residual of E_t1 . E_t2 = E_{t1 shuffle t2}."""
     ev = TreeEvaluator(u)
     lhs = ev.values(t1) @ ev.values(t2)
-    rhs = ev.polynomial(shuffle(
-        TreePolynomial.single(t1), TreePolynomial.single(t2)))
+    rhs = ev.weighted_sum(shuffle(
+        TreePolynomial.single(t1), TreePolynomial.single(t2)).items())
     return float(stack_norm1(lhs - rhs).max())
 
 

@@ -18,15 +18,12 @@ import numpy as np
 __all__ = [
     "SignalError",
     "MatrixSignal",
-    "matrix_norm1",
     "stack_norm1",
     "ubar",
-    "ubar_integrals",
     "ubar_totals",
     "signal_norm",
     "trapezoid_prefix",
     "constant_signal",
-    "sinusoid_signal",
     "spin_field",
     "random_smooth_signal",
     "signal_to_csv",
@@ -45,14 +42,6 @@ SPIN_GENERATORS = {
     "y": np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
     "z": np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
 }
-
-
-def matrix_norm1(a: np.ndarray) -> float:
-    """Max column absolute sum."""
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise SignalError("non-finite matrix entries")
-    return float(np.abs(a).sum(axis=0).max())
 
 
 def stack_norm1(values: np.ndarray) -> np.ndarray:
@@ -133,15 +122,10 @@ def ubar(u: MatrixSignal) -> MatrixSignal:
     return MatrixSignal(stack_norm1(u.samples)[:, :, None, None], u.horizon)
 
 
-def ubar_integrals(u: MatrixSignal) -> np.ndarray:
-    """Running integrals of the dominating channels of :func:`ubar`; shape (m, N+1)."""
-    return trapezoid_prefix(stack_norm1(u.samples).T, u.h).T
-
-
 def ubar_totals(u: MatrixSignal) -> np.ndarray:
-    """[Ubar_0(T), ..., Ubar_m(T)]: the horizon T for the drift (u_0 = I has
-    norm 1), then the totals of :func:`ubar_integrals`; shape (m+1,)."""
-    return np.concatenate(([u.horizon], ubar_integrals(u)[:, -1]))
+    """[Ubar_0(T), ..., Ubar_m(T)]: the horizon T for the drift (u_0 = I has norm 1),
+    then the trapezoid integral over [0, T] of each channel of :func:`ubar`; shape (m+1,)."""
+    return np.concatenate(([u.horizon], trapezoid_prefix(stack_norm1(u.samples).T, u.h)[-1]))
 
 
 def signal_norm(u: MatrixSignal) -> float:
@@ -162,19 +146,6 @@ def constant_signal(matrices: Sequence[np.ndarray] | np.ndarray,
         raise SignalError("expected one or more square matrices")
     samples = np.repeat(arr[:, None], num_steps + 1, axis=1)
     return MatrixSignal(samples, horizon)
-
-
-def sinusoid_signal(base: np.ndarray, horizon: float, num_steps: int,
-                    frequency: float = 1.0, phase: float = 0.0,
-                    offset: np.ndarray | None = None) -> MatrixSignal:
-    """One channel: offset + sin(2*pi*frequency*t + phase) * base."""
-    base = np.asarray(base, dtype=float)
-    t = np.linspace(0.0, horizon, num_steps + 1)
-    env = np.sin(2.0 * math.pi * frequency * t + phase)
-    samples = env[:, None, None] * base
-    if offset is not None:
-        samples = samples + np.asarray(offset, dtype=float)
-    return MatrixSignal(samples[None], horizon)
 
 
 def spin_field(b_magnitude: float, axis_schedule: str,
@@ -203,13 +174,13 @@ def spin_field(b_magnitude: float, axis_schedule: str,
 
 def random_smooth_signal(rng: np.random.Generator, m: int, dim: int,
                          horizon: float, num_steps: int,
-                         amplitude: float = 1.0, modes: int = 2) -> MatrixSignal:
-    """Random low-frequency trigonometric channels; smooth by construction."""
+                         amplitude: float = 1.0) -> MatrixSignal:
+    """Random trigonometric channels of modes 0..2; smooth by construction."""
     t = np.linspace(0.0, horizon, num_steps + 1)
     samples = np.zeros((m, num_steps + 1, dim, dim))
     for i in range(m):
         acc = rng.standard_normal((dim, dim))[None] * np.ones_like(t)[:, None, None]
-        for k in range(1, modes + 1):
+        for k in (1, 2):
             a = rng.standard_normal((dim, dim))
             b = rng.standard_normal((dim, dim))
             w = 2.0 * math.pi * k * t / horizon

@@ -121,7 +121,7 @@ def test_criterion_2_algebra_exact():
         "(x1<(x2<x3)) + (x1<(x2>x3)) + ((x1<x2)>x3)"
 
     # characteristic polynomial = n-fold shuffle power, n <= 7
-    power = TreePolynomial.unit()
+    power = TreePolynomial.single(DLEAF)
     for n in range(1, 8):
         power = shuffle(power, x(1))
         assert char_trees(n) == power

@@ -79,7 +79,12 @@ def test_usage_error_exit_code(capsys):
      "--letter takes a single letter like x1"),
     (["algebra", "shuffle", "(x1 + x2)", "x1"],
      "products must be parenthesized pairs; got ')' in '(x1 + x2)'"),
-], ids=["matrix-entry", "matrix-shape", "letter", "sum-in-parentheses"])
+    (["fliess", "eval", "--series", "dyson:abc", "--signal", "const:1", "--order", "1"],
+     "bad series spec 'dyson:abc': expected dyson:<N>"),
+    (["eval", "tree", "--expr", "x1", "--signal", "spin:abc,rot"],
+     "bad signal spec 'spin:abc,rot': expected spin:<Bmag>,<schedule>"),
+], ids=["matrix-entry", "matrix-shape", "letter", "sum-in-parentheses", "dyson-order",
+        "spin-magnitude"])
 def test_bad_input_is_named(capsys, argv, message):
     code, out, err = run(capsys, "--json", *argv)
     assert code == 1 and out == ""
@@ -524,3 +529,35 @@ def test_unknown_signal_spec(capsys):
                        "--signal", "wave:1")
     assert code == 1
     assert "signal spec" in err
+
+
+@pytest.mark.parametrize("suite", [*cli._SUITES, "all"])
+def test_verify_refuses_a_negative_seed_as_usage(capsys, suite):
+    # numpy's seeded generators refuse a negative seed, so every suite does
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["--json", "verify", suite, "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be a non-negative integer, got '-1'" in err
+
+
+def test_bad_rule_in_a_series_file_is_named_with_its_form(capsys, tmp_path):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({"rule": "dyson:x"}))
+    code, out, err = run(capsys, "--json", "fliess", "eval", "--series", str(path),
+                         "--signal", "const:0.5", "--order", "2", "--grid", "8")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "bad series spec 'dyson:x': expected dyson:<N>"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "catalan"], 0),
+    (["fliess", "eval", "--series", "dyson:x", "--signal", "const:1", "--order", "1"], 1),
+], ids=["ok", "failure"])
+def test_main_exits_with_the_code_of_run(capsys, monkeypatch, argv, code):
+    # main is the console script's entry point (project.scripts in pyproject.toml)
+    monkeypatch.setattr(sys, "argv", ["dendrifliess", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == code
+    capsys.readouterr()

@@ -25,7 +25,6 @@ from dendrifliess.signals import (
     signal_norm,
     stack_norm1,
     trapezoid_prefix,
-    ubar_integrals,
     ubar_totals,
 )
 from dendrifliess.trees import (
@@ -80,7 +79,7 @@ def test_linearity(u22):
 
 
 def test_zero_polynomial(u22):
-    out = evaluate_polynomial(TreePolynomial.zero(), u22)
+    out = evaluate_polynomial(TreePolynomial(), u22)
     assert np.allclose(out.values, 0.0, atol=0)
 
 
@@ -153,14 +152,19 @@ def test_bounds_name_the_signal_alphabet(bound, arg, message):
             TreeEvaluator(u).values(arg)
 
 
+def _ubar_integrals(u):
+    """The running trapezoid integral of each channel's pointwise norm; (m, N+1)."""
+    return trapezoid_prefix(stack_norm1(u.samples).T, u.h).T
+
+
 def _parent_totals(u):
     """The per-letter Ubar_j(T) as the bounds wrote it out before ubar_totals."""
-    return [u.horizon if j == 0 else float(ubar_integrals(u)[j - 1, -1])
+    return [u.horizon if j == 0 else float(_ubar_integrals(u)[j - 1, -1])
             for j in range(u.m + 1)]
 
 
 def _parent_signal_norm(u):
-    return 0.0 if u.m == 0 else float(ubar_integrals(u)[:, -1].max())
+    return 0.0 if u.m == 0 else float(_ubar_integrals(u)[:, -1].max())
 
 
 @pytest.mark.parametrize("m, horizon, amplitude", [

@@ -268,9 +268,20 @@ def test_full_support_letter_above_alphabet_is_zero():
         evaluate_fliess(full_support_series(-1), _generic_signal(1), 1)
 
 
+@pytest.mark.parametrize("n", [-1, -3])
+def test_negative_orders_give_the_empty_sum(n):
+    # no tree has a negative order, so every series' increment there is zero
+    u = constant_signal([[0.5]], 1.0, 4)
+    ev = TreeEvaluator(u)
+    assert np.array_equal(ev.all_trees_sum(1, n), np.zeros((5, 1, 1)))
+    for series in (full_support_series(1, K=2.0, M=0.5),
+                   finite_series({graft(DLEAF, 1, DLEAF): Fraction(3)}), dyson_series(4)):
+        assert np.array_equal(series.order_sum(ev, n), np.zeros((5, 1, 1)))
+
+
 def test_finite_series_matches_polynomial():
     # mixed orders 0..4 over x0..x2; the order-4 term lies above the truncation
-    p = (TreePolynomial.unit().scale(Fraction(1, 3)) + x(0)
+    p = (TreePolynomial.single(DLEAF, Fraction(1, 3)) + x(0)
          + prec(x(1), x(2)).scale(Fraction(-2))
          + shuffle(succ(x(2), x(0)), x(1)).scale(Fraction(5, 7))
          + TreePolynomial.single(left_comb((2, 1, 0, 1)), Fraction(3)))

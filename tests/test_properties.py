@@ -145,7 +145,6 @@ def test_integer_numerators_match_fraction_reference(p, q, tree, k, n):
         (p - q, _reference([*p.items(), *((t, -c) for t, c in q.items())])),
         (p.scale(k), _reference((t, k * c) for t, c in p.items())),
         (p.truncate(n), _reference((t, c) for t, c in p.items() if t.order <= n)),
-        (p.homogeneous_part(n), _reference((t, c) for t, c in p.items() if t.order == n)),
         (p + TreePolynomial.single(tree, k), _reference([*p.items(), (tree, k)])),
     ]
     for got, want in cases:

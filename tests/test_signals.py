@@ -6,27 +6,15 @@ from dendrifliess.signals import (
     MatrixSignal,
     SignalError,
     constant_signal,
-    matrix_norm1,
     random_smooth_signal,
     signal_from_csv,
     signal_norm,
     signal_to_csv,
-    sinusoid_signal,
     spin_field,
+    stack_norm1,
     trapezoid_prefix,
     ubar,
 )
-
-
-def test_matrix_norm1_hand_value():
-    a = np.array([[1.0, -2.0], [3.0, 0.5]])
-    # column sums: |1|+|3| = 4, |-2|+|0.5| = 2.5
-    assert matrix_norm1(a) == 4.0
-
-
-def test_matrix_norm1_rejects_nan():
-    with pytest.raises(SignalError):
-        matrix_norm1(np.array([[np.nan]]))
 
 
 def test_trapezoid_exact_on_linear():
@@ -97,17 +85,13 @@ def test_ubar_and_norm_constant():
     bar = ubar(u)
     assert np.allclose(bar.samples, 2.0)
     assert abs(signal_norm(u) - 1.0) < 1e-12  # 2 * 0.5
+    # column sums: |1|+|3| = 4, |-2|+|0.5| = 2.5
+    assert stack_norm1(np.array([[1.0, -2.0], [3.0, 0.5]])) == 4.0
 
 
 def test_scaled():
     u = constant_signal(np.eye(2), 1.0, 4)
     assert np.allclose(u.scaled(3.0).samples, 3.0 * u.samples)
-
-
-def test_sinusoid_signal():
-    u = sinusoid_signal(np.eye(2), 1.0, 100)
-    assert np.allclose(u.channel(1)[0], 0.0)
-    assert np.allclose(u.channel(1)[25], np.eye(2), atol=1e-10)
 
 
 def test_spin_field_is_skew():

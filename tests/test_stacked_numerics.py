@@ -2,16 +2,23 @@
 oracle built from step propagators equal their one-matrix, one-step loop
 definitions, the oracle's blocked scan equals the running product taken one
 step at a time, the kernels keep their input contract, do not overflow near
-the float maximum, and the oracle never calls the exponential."""
+the float maximum, and the oracle never calls the exponential.  An RK4
+oracle for every tree checks the trapezoid's iterated integrals."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from dendrifliess import operators
-from dendrifliess.operators import expm_stack, matrix_exp, rk4_reference
-from dendrifliess.signals import random_smooth_signal, spin_field
+from dendrifliess.integrals import TreeEvaluator
+from dendrifliess.operators import (evaluate_fliess, expm_stack, finite_series, matrix_exp,
+                                    rk4_reference)
+from dendrifliess.signals import constant_signal, random_smooth_signal, spin_field
+from dendrifliess.trees import (DLEAF, decorate, enumerate_trees, foliation, skeleton,
+                                tree_factorial)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +93,46 @@ def ref_rk4_running_product(u, refinement):
         z = z + step @ z
         out.append(z)
     return np.stack(out)
+
+
+def ref_tree_rk4(trees, u):
+    """E_t on the grid for each of ``trees``, by classical RK4 on the system
+    dE_v/dt = E_l u_x(t) E_r over the distinct vertices v = (l, x, r) of their
+    support, with E_leaf = I and E_v(0) = 0.  As in :func:`rk4_reference`, u is
+    linear within each step, so its midpoint value is the mean of the ends.
+    Every stage is one stacked product over the vertices, slot 0 holding I."""
+    seen, todo = set(), list(trees)
+    while todo:
+        v = todo.pop()
+        if not v.is_leaf and v not in seen:
+            seen.add(v)
+            todo += (v.left, v.right)
+    vertices = sorted(seen, key=lambda v: v.order)  # children before parents
+    slot = {v: k + 1 for k, v in enumerate(vertices)}
+    left = [slot.get(v.left, 0) for v in vertices]
+    right = [slot.get(v.right, 0) for v in vertices]
+    letter = [v.letter for v in vertices]
+    chan = np.stack([u.channel(i) for i in range(u.m + 1)], axis=1)  # (N+1, m+1, n, n)
+    h = u.h
+
+    def rate(e, uc):
+        k = np.zeros_like(e)
+        k[1:] = e[left] @ uc[letter] @ e[right]
+        return k
+
+    e = np.zeros((len(vertices) + 1, u.dim, u.dim))
+    e[0] = np.eye(u.dim)
+    out = [e]
+    for ua, ub in zip(chan[:-1], chan[1:]):
+        um = 0.5 * (ua + ub)
+        k1 = rate(e, ua)
+        k2 = rate(e + 0.5 * h * k1, um)
+        k3 = rate(e + 0.5 * h * k2, um)
+        k4 = rate(e + h * k3, ub)
+        e = e + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(e)
+    out = np.stack(out)
+    return {t: out[:, slot.get(t, 0)] for t in trees}
 
 
 def _max_rel(got, want):
@@ -211,3 +258,64 @@ def test_rk4_never_calls_the_exponential(monkeypatch):
     assert np.array_equal(rk4_reference(u, 4), want)
     with pytest.raises(ValueError):
         rk4_reference(u, 0)
+
+
+# ---------------------------------------------------------------------------
+# the RK4 oracle for every tree
+
+def _smooth_trees():
+    """Every shape of order 2 to 4 with two words over x0..x2: 42 trees."""
+    return [decorate(word, shape) for n in range(2, 5)
+            for k, shape in enumerate(enumerate_trees(n))
+            for word in (tuple((k + j) % 3 for j in range(n)),
+                         tuple((k + 2 * j + 1) % 3 for j in range(n)))]
+
+
+@pytest.mark.parametrize("steps", [4, 16])
+def test_tree_oracle_meets_the_closed_form_on_constant_signals(steps):
+    # constant channels give E_eta(t) = U_{w1} ... U_{wn} t^n / eta!, w the foliation
+    mats = 0.5 * np.random.default_rng(5).standard_normal((2, 2, 2))
+    u = constant_signal(mats, 0.8, steps)
+    channels = [np.eye(2), *mats]
+    ts = [decorate(word, shape) for n in range(5) for shape in enumerate_trees(n)
+          for word in itertools.product(range(3), repeat=n)]
+    assert len(ts) == 1 + 3 + 18 + 135 + 1134
+    got = ref_tree_rk4(ts, u)
+    for t in ts:
+        word = functools.reduce(np.matmul, (channels[x] for x in foliation(t)), np.eye(2))
+        want = u.grid[:, None, None] ** t.order / tree_factorial(skeleton(t)) * word
+        assert np.abs(got[t] - want).max() <= 1e-15
+
+
+def _trapezoid_gap_ratios(gap):
+    """The gap of the trapezoid to the tree oracle at N = 64, 128 and 256
+    steps, on one seeded smooth signal, and its ratios per halving of h."""
+    gaps = np.array([gap(random_smooth_signal(np.random.default_rng(7), 2, 2, 1.0, n))
+                     for n in (64, 128, 256)])
+    return gaps[:-1] / gaps[1:]
+
+
+def test_trapezoid_gap_to_the_tree_oracle_falls_fourfold_per_halving():
+    ts = _smooth_trees()
+
+    def gap(u):
+        ref, ev = ref_tree_rk4(ts, u), TreeEvaluator(u)
+        return [np.abs(ev.values(t) - ref[t]).max() for t in ts]
+
+    ratios = _trapezoid_gap_ratios(gap)
+    assert ratios.shape == (2, len(ts))
+    assert ((3.6 <= ratios) & (ratios <= 4.4)).all(), ratios
+
+
+def test_finite_series_gap_to_the_tree_oracle_falls_fourfold_per_halving():
+    rng = np.random.default_rng(9)
+    terms = {DLEAF: np.eye(2), **{t: rng.standard_normal((2, 2)) for t in _smooth_trees()[::3]}}
+    series = finite_series(terms)
+
+    def gap(u):
+        ref = ref_tree_rk4(list(terms), u)
+        want = sum(c @ ref[t] for t, c in terms.items())
+        return np.abs(evaluate_fliess(series, u, 4).values - want).max()
+
+    ratios = _trapezoid_gap_ratios(gap)
+    assert ((3.6 <= ratios) & (ratios <= 4.4)).all(), ratios
